@@ -2,17 +2,15 @@
 //! itself.
 //!
 //! Runs one mid-size server workload through each paper-evaluation
-//! organization in three engine modes and records useful simulation
+//! organization in two engine modes and records useful simulation
 //! throughput (measured instructions per wall-clock second) to
 //! `BENCH_sim.json`:
 //!
 //! * `serial` — statically dispatched [`btbx_core::BtbEngine`], one shard
 //!   (the default path of every spec-driven session);
-//! * `serial-dyn` — the legacy `Box<dyn Btb>` compatibility path, for the
-//!   static-vs-virtual dispatch trajectory;
-//! * `sharded` — [`btbx_uarch::ParallelSession`] in warm-checkpoint
-//!   mode with [`SHARDS`] interval shards, the single-run wall-clock
-//!   path. Checkpoint mode is **bit-exact**: the sharded `btb_mpki`
+//! * `sharded` — [`btbx_uarch::ParallelSession`] with [`SHARDS`]
+//!   interval shards handing warm state forward, the single-run
+//!   wall-clock path. The hand-off is **bit-exact**: the sharded `btb_mpki`
 //!   must equal the serial one and the run fails otherwise (see
 //!   [`check_exactness`]) — the CI gate that keeps the sharded-accuracy
 //!   gap closed.
@@ -104,7 +102,7 @@ pub const BATCH_BUDGETS: [BudgetPoint; 3] =
 pub struct BenchEntry {
     /// Organization id (`conv`, `pdede`, `btbx`).
     pub org: String,
-    /// `serial`, `serial-dyn` or `sharded`.
+    /// `serial` or `sharded` (plus the `matrix/*` batched-pass rows).
     pub mode: String,
     /// Measured (useful) instructions simulated.
     pub events: u64,
@@ -130,8 +128,8 @@ pub struct BenchEntry {
     /// of `ParallelSession::run` (gated by [`SETUP_SHARE_LIMIT`]).
     #[serde(default)]
     pub serial_setup_share: f64,
-    /// Sharded runs: summed seconds the shards spent positioning their
-    /// streams (checkpoint claims plus generator skip-steps).
+    /// Sharded runs: always 0 — shards restore warm rungs instead of
+    /// positioning their streams. Kept for schema compatibility.
     #[serde(default)]
     pub position_seconds: f64,
     /// Sharded runs: largest sealed warm snapshot restored or produced
@@ -194,10 +192,6 @@ pub struct BenchWindows {
     pub warmup: u64,
     /// Measured instructions.
     pub measure: u64,
-    /// Historical (schema ≤ 3): per-shard simulated warm-up carry-in of
-    /// the approximate sharded mode. Warm-checkpoint sharding has no
-    /// carry-in; recorded as 0 since schema v4.
-    pub carry_in: u64,
     /// Shard count of the sharded mode.
     pub shards: usize,
 }
@@ -244,8 +238,6 @@ pub struct BenchReport {
     pub entries: Vec<BenchEntry>,
     /// Per-org `sharded` over `serial` events/sec ratio.
     pub speedup_sharded_vs_serial: Vec<(String, f64)>,
-    /// Per-org `serial` (static) over `serial-dyn` events/sec ratio.
-    pub speedup_static_vs_dyn: Vec<(String, f64)>,
 }
 
 #[derive(Default)]
@@ -355,8 +347,8 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
 
         eprintln!("[bench] {}: serial (engine)…", org.id());
         let serial = best_of(|| {
-            // Construction outside the timed window, mirroring the dyn
-            // entry below — the comparison is per-event dispatch cost.
+            // Construction outside the timed window: the entry times
+            // simulation, not BTB allocation.
             let engine = spec.build_engine().expect("paper spec is valid");
             let start = Instant::now();
             let r = SimSession::new(proto.clone())
@@ -377,29 +369,7 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         });
         push_entry(&mut entries, org.id(), "serial", serial);
 
-        eprintln!("[bench] {}: serial (dyn dispatch)…", org.id());
-        let dyn_serial = best_of(|| {
-            let btb = spec.build().expect("paper spec is valid");
-            let start = Instant::now();
-            let r = SimSession::new(proto.clone())
-                .btb(btb)
-                .config(config.clone())
-                .label(org.id())
-                .warmup(warmup)
-                .measure(measure)
-                .run()
-                .expect("instance sessions always run");
-            Timed {
-                events: r.stats.instructions,
-                seconds: start.elapsed().as_secs_f64(),
-                btb_mpki: r.stats.btb_mpki(),
-                peak_event_buffer_bytes: EVENT_BLOCK_BYTES,
-                ..Timed::default()
-            }
-        });
-        push_entry(&mut entries, org.id(), "serial-dyn", dyn_serial);
-
-        eprintln!("[bench] {}: sharded ×{SHARDS} (checkpoint mode)…", org.id());
+        eprintln!("[bench] {}: sharded ×{SHARDS}…", org.id());
         // One warm ladder per org (snapshots embed the BTB), shared
         // across repetitions and persisted across bench invocations: the
         // first repetition warms it (cold, pipelined) unless the warm
@@ -563,15 +533,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         .iter()
         .map(|&o| (o.id().to_string(), rate(o, "sharded") / rate(o, "serial")))
         .collect();
-    let speedup_static_vs_dyn: Vec<(String, f64)> = OrgKind::PAPER_EVAL
-        .iter()
-        .map(|&o| {
-            (
-                o.id().to_string(),
-                rate(o, "serial") / rate(o, "serial-dyn"),
-            )
-        })
-        .collect();
 
     let serial_conv_seconds = entries
         .iter()
@@ -590,7 +551,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         windows: BenchWindows {
             warmup,
             measure,
-            carry_in: 0,
             shards: SHARDS,
         },
         generation,
@@ -598,7 +558,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         batched: batched_pass,
         entries,
         speedup_sharded_vs_serial,
-        speedup_static_vs_dyn,
     };
 
     println!(
@@ -633,9 +592,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
     );
     for (org, s) in &report.speedup_sharded_vs_serial {
         println!("speedup {org}: sharded×{SHARDS} vs serial = {s:.2}×");
-    }
-    for (org, s) in &report.speedup_static_vs_dyn {
-        println!("speedup {org}: static vs dyn dispatch = {s:.2}×");
     }
     println!(
         "batched matrix: {} lanes, per-point {:.3}s vs batched {:.3}s = {:.2}× ({})",
@@ -918,7 +874,6 @@ mod tests {
             windows: BenchWindows {
                 warmup: 1,
                 measure: 1,
-                carry_in: 1,
                 shards: SHARDS,
             },
             generation: GenPass::default(),
@@ -926,7 +881,6 @@ mod tests {
             batched: BatchedPass::default(),
             entries,
             speedup_sharded_vs_serial: vec![],
-            speedup_static_vs_dyn: vec![],
         }
     }
 
@@ -944,12 +898,13 @@ mod tests {
     #[test]
     fn schema_v1_baselines_still_parse() {
         // Committed baselines predate the streaming fields; they must
-        // deserialize with the new fields defaulted, not fail the gate.
+        // deserialize with the new fields defaulted, not fail the gate,
+        // and keys later dropped from the schema are ignored.
         let v1 = r#"{
             "schema": "btbx-bench-sim/1",
             "mode": "smoke",
             "workload": "w",
-            "windows": {"warmup": 1, "measure": 1, "carry_in": 1, "shards": 4},
+            "windows": {"warmup": 1, "measure": 1, "shards": 4},
             "entries": [{
                 "org": "conv", "mode": "serial", "events": 10,
                 "seconds": 1.0, "events_per_sec": 10.0, "btb_mpki": 0.5
@@ -1018,8 +973,7 @@ mod tests {
         events_off.entries[1].events += 1;
         assert!(check_exactness(&events_off).is_err());
 
-        // A sharded entry without a serial sibling is skipped, and
-        // serial-dyn entries never participate.
+        // A sharded entry without a serial sibling is skipped.
         let orphan = report_with(vec![entry("pdede", "sharded", 1.0)]);
         assert!(check_exactness(&orphan).is_ok());
     }

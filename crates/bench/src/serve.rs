@@ -15,10 +15,6 @@
 //! * **Durability.** Results are written atomically (temp file + rename)
 //!   so a killed server never leaves an entry that a later reader parses
 //!   as valid; damaged entries are quarantined, not served.
-//! * **Warm-state reuse.** Sharded runs of a point share one
-//!   [`AnyWarmLadder`] across requests, so repeat runs restore warmed
-//!   microarchitectural state at every shard boundary in O(state) —
-//!   no warm-up replay — and are bit-identical to serial runs.
 //!
 //! # Protocol
 //!
@@ -70,9 +66,8 @@ use crate::sweep::{SimPoint, Sweep};
 use btbx_core::faults;
 use btbx_trace::container;
 use btbx_uarch::sim::ABORT_MARKER;
-use btbx_uarch::{AnyWarmLadder, SimResult};
+use btbx_uarch::SimResult;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,7 +99,7 @@ pub struct ServeConfig {
     /// intra-request shard fan-out by [`pool_split`].
     pub threads: usize,
     /// Interval shards per simulation. Any value serves results
-    /// byte-identical to the CLI serial path (warm-checkpoint mode);
+    /// byte-identical to the CLI serial path (warm-state hand-off);
     /// more shards trade threads for per-request latency.
     pub shards: usize,
     /// Maximum concurrently admitted `/sim` requests; `0` = unlimited.
@@ -180,11 +175,6 @@ struct ServerState {
     shard_threads: usize,
     max_inflight: usize,
     deadline: Option<Duration>,
-    /// One warm ladder per distinct simulation point (cache key), shared
-    /// across requests so repeat runs restore warmed state in O(state).
-    /// Keyed by the full point (not just the workload) because warm
-    /// snapshots embed the BTB organization, budget and configuration.
-    ladders: Mutex<HashMap<String, Arc<AnyWarmLadder>>>,
     /// Live `/sim` deadline registrations, polled by the watch thread.
     /// Weak: a finished request drops its flag and the entry self-prunes.
     deadlines: Mutex<Vec<(Instant, Weak<AtomicBool>)>>,
@@ -219,35 +209,6 @@ impl ServerState {
             resumed_points: self.resumed_points.load(Ordering::Relaxed),
             store: self.store.counters(),
         }
-    }
-
-    fn ladder_for(&self, point: &SimPoint) -> Option<Arc<AnyWarmLadder>> {
-        if self.shards <= 1 {
-            return None;
-        }
-        let key = point.cache_file();
-        // Recover (not propagate) mutex poison: the map cannot be torn
-        // by a panicking holder — every critical section is a single
-        // entry lookup/insert — and refusing all future warm-state reuse
-        // because one request died would turn one failure into many.
-        let mut ladders = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = ladders
-            .entry(key)
-            .or_insert_with(|| Arc::new(AnyWarmLadder::new()));
-        // A ladder poisoned by a dead shard (deadline abort, simulation
-        // panic) fails every waiter by design; rebuild the entry so the
-        // next request warms fresh instead of inheriting the poison.
-        if entry.is_poisoned() {
-            *entry = Arc::new(AnyWarmLadder::new());
-        }
-        Some(Arc::clone(entry))
-    }
-
-    /// Drop a point's shared ladder after its computation panicked (it
-    /// may have been poisoned mid-warm).
-    fn evict_ladder(&self, point: &SimPoint) {
-        let mut ladders = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
-        ladders.remove(&point.cache_file());
     }
 
     /// Try to take one `/sim` admission slot; `None` means the server is
@@ -367,7 +328,6 @@ impl Server {
             shard_threads,
             max_inflight: config.max_inflight,
             deadline: config.deadline,
-            ladders: Mutex::new(HashMap::new()),
             deadlines: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -636,29 +596,19 @@ fn blob_put(
 /// other panic or cache failure a 500.
 fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), (u16, String)> {
     let name = point.cache_file_for(state.shards);
-    let ladder = state.ladder_for(point);
     let abort = state.arm_deadline();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         state.store.get_or_compute(&name, false, || {
             // Resolve inside the compute closure: cache hits and joins
             // never need the trace bytes at all.
             let point = resolve_trace(state, point);
-            point.run_sharded_abortable(
-                state.shards,
-                state.shard_threads,
-                ladder.as_deref(),
-                abort.clone(),
-            )
+            point.run_sharded_abortable(state.shards, state.shard_threads, None, abort.clone())
         })
     }));
     match outcome {
         Ok(Ok(hit)) => Ok(hit),
         Ok(Err(e)) => Err((500, format!("cache: {e}"))),
         Err(payload) => {
-            // The panic may have poisoned this point's shared warm
-            // ladder mid-warm; evict it so the next request builds a
-            // fresh one instead of inheriting the poison.
-            state.evict_ladder(point);
             let msg = btbx_uarch::runner::panic_message(&*payload);
             if msg.contains(ABORT_MARKER) {
                 // Deadline abort (joiners of the same flight see the

@@ -165,8 +165,8 @@ impl SimPoint {
     }
 
     /// Run the simulation for this point split into `shards` interval
-    /// shards in warm-checkpoint mode ([`ParallelSession::checkpoints`]):
-    /// the result is **bit-identical** to the serial [`run`]
+    /// shards that hand warm state forward ([`ParallelSession`]): the
+    /// result is **bit-identical** to the serial [`run`]
     /// (SimPoint::run) for any workload. `shards <= 1` falls back to the
     /// serial path. See EXPERIMENTS.md, "Interval sharding".
     pub fn run_sharded(&self, shards: usize, threads: usize) -> SimResult {
@@ -175,9 +175,9 @@ impl SimPoint {
 
     /// [`run_sharded`](SimPoint::run_sharded) with an optional shared
     /// [`AnyWarmLadder`]: a warm ladder reused across runs of the same
-    /// point (e.g. by `btbx serve` across requests) restores warmed
-    /// microarchitectural state at every shard boundary in O(state), so
-    /// re-runs skip the warm-up prefix entirely and parallelize fully.
+    /// point restores warmed microarchitectural state at every shard
+    /// boundary in O(state), so re-runs skip the warm-up prefix entirely
+    /// and parallelize fully.
     pub fn run_sharded_with(
         &self,
         shards: usize,
@@ -211,8 +211,7 @@ impl SimPoint {
             .warmup(self.warmup)
             .measure(self.measure)
             .shards(shards)
-            .threads(threads)
-            .checkpoints(true);
+            .threads(threads);
         if let Some(warm) = warm {
             session = session.warm_ladder(warm);
         }

@@ -253,11 +253,10 @@ fn sweep_via_server_matches_local_sweep_order_and_results() {
 }
 
 #[test]
-fn sharded_server_reuses_ladders_across_requests() {
-    // A sharded server re-serving the same workload should still answer
-    // correctly (the ladder makes repositioning cheap; correctness is
-    // what we can assert here).
-    let (server, out) = start("ladder", 2);
+fn sharded_server_answers_a_repeat_point_from_disk() {
+    // A sharded server computes a point once; the identical request is
+    // then answered from the durable cache with the same body.
+    let (server, out) = start("repeat", 2);
     let addr = server.addr().to_string();
     let point = &two_point_sweep().points()[0];
     let body = serde_json::to_string(point).unwrap();
@@ -269,6 +268,25 @@ fn sharded_server_reuses_ladders_across_requests() {
     assert_eq!(second.status, 200);
     assert_eq!(second.header("X-Btbx-Cache"), Some("disk"));
     assert_eq!(first.body, second.body);
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_survives() {
+    // One megabyte of `[` used to recurse once per byte in the JSON
+    // parser and abort the whole process on stack overflow.
+    let (server, out) = start("nesting", 1);
+    let addr = server.addr().to_string();
+    let body = "[".repeat(1 << 20);
+    let deep = http_request(&addr, "POST", "/sim", &body).unwrap();
+    assert_eq!(deep.status, 400, "{}", deep.body);
+    assert!(deep.body.contains("nested deeper"), "{}", deep.body);
+
+    let health = http_request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
 
     server.shutdown().unwrap();
     server.join();

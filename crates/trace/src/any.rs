@@ -8,8 +8,8 @@
 //! ChampSim files, and `.btbt` packed containers — behind one concrete
 //! type that is `Clone + Send` and fully seekable, so a shard factory
 //! (`Fn() -> AnySource`) works identically for every workload kind and
-//! one [`CheckpointLadder`](../../btbx_uarch/parallel) type
-//! ([`AnyCheckpoint`]) serves them all.
+//! one checkpoint type ([`AnyCheckpoint`]) backs the warm ladder
+//! (`btbx_uarch::AnyWarmLadder`) for them all.
 //!
 //! [`AnySource::open`] sniffs the file kind by magic: `BTBT` means a
 //! packed container; anything else whose length is a whole number of

@@ -10,9 +10,8 @@
 //!   plus a bounded look-ahead slack) is materialized once into an
 //!   `Arc<PackedBuf>` ([`BatchStream::materialize`]); every lane streams
 //!   it through a zero-copy [`SharedSource`] clone.
-//! * **Engine construction** — all lane BTBs are validated and built in
-//!   one [`EngineBank`] pass before any lane runs, so a bad spec fails
-//!   the group up front.
+//! * **Engine construction** — all lane BTBs are validated and built
+//!   before any lane runs, so a bad spec fails the group up front.
 //! * **Inert cycles** — every lane runs with
 //!   [`Simulator::set_fast_forward`](crate::sim::Simulator::set_fast_forward)
 //!   enabled, jumping spans of cycles in which no pipeline stage can act.
@@ -47,7 +46,6 @@ use crate::sim::EVENT_BLOCK_EVENTS;
 use crate::stats::SimResult;
 use btbx_core::engine::BtbEngine;
 use btbx_core::spec::BtbSpec;
-use btbx_core::EngineBank;
 use btbx_trace::packed::{PackedBuf, SharedSource};
 use btbx_trace::TraceSource;
 use std::sync::{Arc, Mutex};
@@ -151,8 +149,7 @@ impl BatchStream {
         Ok(self.run_lane_engine(engine, lane))
     }
 
-    /// [`run_lane`](Self::run_lane) with a pre-built engine (e.g. one
-    /// lane of an [`EngineBank`]).
+    /// [`run_lane`](Self::run_lane) with a pre-built engine.
     pub fn run_lane_engine(&self, engine: BtbEngine, lane: &BatchLane) -> SimResult {
         session::run_with(
             engine,
@@ -271,7 +268,11 @@ impl<S: TraceSource> BatchSession<S> {
         self,
         on_done: impl FnMut(usize, &SimResult) + Send,
     ) -> Result<Vec<SimResult>, SessionError> {
-        let bank = EngineBank::from_specs(self.lanes.iter().map(|l| &l.spec))?;
+        let engines = self
+            .lanes
+            .iter()
+            .map(|l| l.spec.build_engine())
+            .collect::<Result<Vec<_>, _>>()?;
         let slack = self
             .lanes
             .iter()
@@ -280,8 +281,7 @@ impl<S: TraceSource> BatchSession<S> {
             .unwrap_or(0);
         let stream = BatchStream::materialize(self.trace, self.warmup, self.measure, slack)?;
         let sink = Mutex::new(on_done);
-        let jobs: Vec<_> = bank
-            .into_engines()
+        let jobs: Vec<_> = engines
             .into_iter()
             .zip(&self.lanes)
             .enumerate()
@@ -410,13 +410,15 @@ mod tests {
             config: SimConfig::default(),
             label: "bad".into(),
         });
+        let mut finished = 0usize;
         let err = BatchSession::new(spec.build_trace())
             .lanes(bad)
             .warmup(1_000)
             .measure(2_000)
-            .run()
+            .run_each(|_, _| finished += 1)
             .unwrap_err();
         assert!(matches!(err, SessionError::Spec(_)), "{err}");
+        assert_eq!(finished, 0, "no lane may run when any spec is invalid");
     }
 
     #[test]

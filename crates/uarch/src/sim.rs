@@ -221,7 +221,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
 
     /// Tick until the *absolute* committed-instruction count reaches
     /// `target` (or the trace drains). The warm-up building block of both
-    /// the serial path and checkpoint-mode shards.
+    /// the serial path and sharded runs.
     pub fn run_until_committed(&mut self, target: u64) {
         while self.committed < target && !self.finished() {
             if !(self.fast_forward && self.fast_forward_span()) {
@@ -321,7 +321,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         self.committed
     }
 
-    /// Borrow the trace source (checkpoint-mode shards record the source
+    /// Borrow the trace source (sharded runs record the source
     /// position alongside a microarchitectural snapshot).
     pub fn trace(&self) -> &S {
         &self.trace

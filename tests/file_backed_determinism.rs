@@ -3,13 +3,12 @@
 //! to the serial `SimSession`, with no full-trace materialization —
 //! the file-backed mirror of `tests/parallel_determinism.rs`.
 //!
-//! Unlike the synthetic suite, which leans on periodic workloads to make
-//! the bounded carry-in exact, these tests run in **exact mode**: commit
-//! width 1 (chunk boundaries land on commit boundaries) and a carry-in
-//! covering the whole prefix (every shard replays the serial history up
-//! to its chunk). Under those settings sharded equals serial for ANY
-//! trace — which is precisely what lets real, aperiodic server traces
-//! ride the sharded engine without an equivalence caveat.
+//! Shards hand warm microarchitectural snapshots forward and measure to
+//! absolute committed targets on the serial trajectory, so sharded
+//! equals serial for ANY trace — which is precisely what lets real,
+//! aperiodic server traces ride the sharded engine without an
+//! equivalence caveat. Commit width 1 keeps every interval boundary on
+//! an exact instruction multiple.
 //!
 //! The fixture is a ~50k-instruction ChampSim `input_instr` file under
 //! `tests/fixtures/`, generated deterministically from the synthetic
@@ -66,7 +65,7 @@ fn convert_fixture(path: &Path) {
     .expect("fixture converts");
 }
 
-/// Exact-equivalence configuration: see the module docs.
+/// Commit width 1: see the module docs.
 fn exact_config() -> SimConfig {
     let mut config = SimConfig::with_fdip();
     config.commit_width = 1;
@@ -103,8 +102,6 @@ fn sharded(proto: &AnySource, spec: BtbSpec, shards: usize) -> ParallelOutcome {
         .measure(MEASURE)
         .every(INTERVAL)
         .shards(shards)
-        // Full-prefix carry-in: exact for any trace (module docs).
-        .carry_in(WARMUP + MEASURE)
         .run()
         .expect("valid sharded session")
 }

@@ -1,14 +1,11 @@
 //! Determinism suite: `ParallelSession` must reproduce the serial
-//! `SimSession` exactly — same totals, same interval boundaries — on
-//! workloads that satisfy the documented equivalence contract (periodic
-//! working set converged by the warm-up carry-in; see the module docs of
+//! `SimSession` exactly — same totals, same interval boundaries — for
+//! every shard count and thread count (see the module docs of
 //! `btbx_uarch::parallel` and EXPERIMENTS.md, "Interval sharding").
 //!
 //! The workloads here are steady-state loops whose dynamic period divides
-//! the warm-up, the shard chunk and the interval length, so every shard
-//! replays a stream identical (not merely similar) to the serial stream at
-//! its chunk position and all microarchitectural state converges within
-//! the carry-in.
+//! the warm-up, the shard chunk and the interval length, exercising every
+//! front-end structure through the shard hand-off.
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
@@ -182,13 +179,9 @@ fn sharded(
     .expect("valid sharded session")
 }
 
-/// The measurement loop commits up to `commit_width` instructions per
-/// cycle and stops at the first crossing of the window, so a chunk can
-/// overshoot by up to `commit_width - 1` instructions. Exact serial
-/// equivalence therefore additionally needs chunk boundaries to fall on
-/// commit boundaries; `commit_width: 1` guarantees that for any window,
-/// making the equality below exact rather than approximate. (The
-/// default-width behaviour is pinned separately further down.)
+/// Commit width 1 puts every interval boundary on an exact instruction
+/// multiple. The default-width behaviour is pinned separately further
+/// down.
 fn exact_config(fdip: bool) -> SimConfig {
     let mut config = if fdip {
         SimConfig::with_fdip()
@@ -249,13 +242,11 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop() {
     }
 }
 
-/// Warm-checkpoint mode drops both preconditions of the replay-based
-/// equivalence contract: shards restore the serial machine snapshot at
-/// exact committed-instruction boundaries instead of re-warming from a
-/// carry-in, so the merged run equals the serial run bit-for-bit for any
-/// workload, any shard count and the *default* commit width (no
-/// `commit_width: 1` needed — boundaries are committed targets, not tick
-/// counts).
+/// The warm hand-off needs neither a periodic workload nor
+/// `commit_width: 1`: shards restore the serial machine snapshot and
+/// measure to absolute committed targets, so the merged run equals the
+/// serial run bit-for-bit at the *default* commit width, for any shard
+/// count.
 #[test]
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
@@ -272,10 +263,9 @@ fn checkpoint_mode_is_exact_at_default_width() {
         .measure(MEASURE)
         .every(INTERVAL)
         .shards(shards)
-        .checkpoints(true)
         .run()
-        .expect("valid checkpointed session");
-        let ctx = format!("checkpointed call loop, {shards} shard(s)");
+        .expect("valid sharded session");
+        let ctx = format!("call loop, {shards} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
         assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
         assert!(
@@ -285,10 +275,10 @@ fn checkpoint_mode_is_exact_at_default_width() {
     }
 }
 
-/// With the default 6-wide commit, chunk boundaries may overshoot by up
-/// to `commit_width - 1` instructions per shard. Pin the documented
-/// contract: coverage is complete (never short), bounded overshoot, and
-/// the run remains deterministic across repetitions and thread counts.
+/// With the default 6-wide commit, a shard's last cycle may commit past
+/// its target. Pin the contract at that width: coverage is complete
+/// (never short), any overshoot stays within `commit_width - 1` per
+/// shard, and the run is deterministic across thread counts.
 #[test]
 fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let config = SimConfig::with_fdip();
