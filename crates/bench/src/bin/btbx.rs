@@ -74,11 +74,11 @@ selection:
   --fdip MODE      on | off | both                          [on]
   --trace FILE     replay a .btbt container instead of a suite
                    (orgs/budgets/fdip still apply; see btbx trace)
-  --server ADDR    POST every point to a running `btbx serve` at ADDR
-                   (host:port) instead of simulating locally
   --cluster LIST   fan the matrix out across a fleet of serve nodes
-                   (comma-separated host:port list) with work stealing,
-                   health probing and retry-on-node-loss; results are
+                   (comma-separated host:port list; one address for a
+                   single server) with work stealing, health probing,
+                   retry-on-node-loss and 429 back-off, --threads
+                   requests in flight per node; results are
                    published into the local <out>/cache (or, with
                    --store, into the shared store: the coordinator also
                    seeds it with the sweep's trace containers so nodes
@@ -253,7 +253,6 @@ fn sweep_cmd(args: Vec<String>) {
     let mut fdip = vec![true];
     let mut save: Option<String> = None;
     let mut spec_file: Option<String> = None;
-    let mut server: Option<String> = None;
     let mut cluster_list: Option<String> = None;
     let mut rest = Vec::new();
 
@@ -285,7 +284,6 @@ fn sweep_cmd(args: Vec<String>) {
             }
             "--save" => save = Some(value("--save")),
             "--spec" => spec_file = Some(value("--spec")),
-            "--server" => server = Some(value("--server")),
             "--cluster" => cluster_list = Some(value("--cluster")),
             "--help" | "-h" => {
                 println!("{SWEEP_USAGE}\n\n{OPTIONS_USAGE}");
@@ -297,9 +295,6 @@ fn sweep_cmd(args: Vec<String>) {
     let opts = parse_opts(rest, "sweep", Some(SWEEP_USAGE));
     let _fault_guard =
         faults::arm_from_opts(&opts).unwrap_or_else(|e| fail(&format!("--fault-plan: {e}")));
-    if server.is_some() && cluster_list.is_some() {
-        fail("--server and --cluster are mutually exclusive");
-    }
 
     let sweep = if let Some(path) = spec_file {
         let json = std::fs::read_to_string(&path)
@@ -373,11 +368,6 @@ fn sweep_cmd(args: Vec<String>) {
         let config = ClusterConfig::from_opts(nodes, &opts);
         cluster::sweep_via_cluster(&sweep, &opts, &config).unwrap_or_else(|e| {
             eprintln!("error: cluster sweep failed: {e}");
-            std::process::exit(1);
-        })
-    } else if let Some(addr) = &server {
-        btbx_bench::serve::sweep_via_server(&sweep, &opts, addr).unwrap_or_else(|e| {
-            eprintln!("error: server sweep failed: {e}");
             std::process::exit(1);
         })
     } else {

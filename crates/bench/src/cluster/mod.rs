@@ -1,14 +1,11 @@
 //! The distributed sweep fabric: drive one [`crate::sweep::Sweep`]
 //! matrix across a fleet of `btbx serve` nodes.
 //!
-//! The ROADMAP's north star is serving the paper's org×budget×workload
-//! matrix at fleet scale; `btbx serve` (the single-node service) and
-//! `btbx sweep --server` (a client for exactly one of them) stop short
-//! of that. This subsystem closes the gap with a *coordinator*: point
-//! the CLI at a node list (`btbx sweep --cluster host1:port,host2:port`)
-//! and the whole matrix fans out over the existing JSON-over-HTTP
-//! protocol with work stealing, health tracking, and
-//! retry-on-node-loss.
+//! The coordinator is the one remote sweep client: point the CLI at a
+//! node list (`btbx sweep --cluster host1:port,host2:port`, or a single
+//! address for one server) and the whole matrix fans out over the
+//! `btbx serve` JSON-over-HTTP protocol with work stealing, health
+//! tracking, retry-on-node-loss and back-off on shed (429) requests.
 //!
 //! Layering:
 //!
@@ -17,9 +14,9 @@
 //!   ([`RequestError`] / [`PointError`] / [`ClusterError`]).
 //! * [`node`] — the per-node health state machine
 //!   (healthy → suspect → dead → probation).
-//! * [`scheduler`] — the shared work queue, per-node greedy workers,
-//!   dedup against the local [`crate::store::ResultStore`], and retry
-//!   with bounded backoff.
+//! * [`scheduler`] — the shared work queue, `--threads` greedy workers
+//!   per node, dedup against the local [`crate::store::ResultStore`],
+//!   and retry with bounded backoff.
 //! * [`LocalCluster`] — N in-process servers for tests and
 //!   single-machine fan-out.
 //!

@@ -16,12 +16,14 @@
 //!
 //! * One failed request makes a node *suspect* — it keeps serving, so a
 //!   single dropped packet never benches a healthy node.
-//! * A second consecutive failure makes it *dead*: its worker stops
-//!   pulling sweep work and probes `/healthz` instead.
+//! * A second consecutive failure makes it *dead*: its worker lanes stop
+//!   pulling sweep work and one of them probes `/healthz` instead.
 //! * A successful probe re-admits the node on *probation*: it serves
 //!   again, but its first failure sends it straight back to dead (no
 //!   second chance while unproven).
 //! * Any successful request makes the node fully *healthy* again.
+//! * A dead node whose prober gives up is *retired* for the rest of the
+//!   sweep; retirement is sticky, whatever its state does afterwards.
 //!
 //! The tracker also counts completed/failed requests for the end-of-run
 //! fleet summary.
@@ -37,7 +39,7 @@ pub enum NodeState {
     Healthy,
     /// One recent failure; still serving.
     Suspect,
-    /// Out of rotation; its worker probes `/healthz` for re-admission.
+    /// Out of rotation; one of its lanes probes `/healthz` for re-admission.
     Dead,
     /// Re-admitted after a successful probe; one failure kills it again.
     Probation,
@@ -77,6 +79,7 @@ pub struct NodeSummary {
 struct Tracked {
     state: NodeState,
     probe_failures: u32,
+    retired: bool,
     completed: u64,
     failures: u64,
 }
@@ -96,6 +99,7 @@ impl NodeTracker {
             inner: Mutex::new(Tracked {
                 state,
                 probe_failures: 0,
+                retired: false,
                 completed: 0,
                 failures: 0,
             }),
@@ -148,6 +152,18 @@ impl NodeTracker {
         let mut t = self.inner.lock().unwrap();
         t.probe_failures += 1;
         t.probe_failures
+    }
+
+    /// Take the node out of the sweep for good (its prober gave up).
+    /// Sticky: a late success from a request still in flight does not
+    /// undo it, so every lane of the node sees the same verdict.
+    pub fn retire(&self) {
+        self.inner.lock().unwrap().retired = true;
+    }
+
+    /// Whether [`NodeTracker::retire`] was called.
+    pub fn retired(&self) -> bool {
+        self.inner.lock().unwrap().retired
     }
 
     /// Snapshot for the end-of-run fleet summary.
@@ -213,6 +229,15 @@ mod tests {
         assert_eq!(t.record_probe_failure(), 2);
         t.record_probe_success();
         assert_eq!(t.record_probe_failure(), 1, "streak resets");
+    }
+
+    #[test]
+    fn retirement_survives_a_late_success() {
+        let t = NodeTracker::new("n:1", NodeState::Dead);
+        t.retire();
+        t.record_success();
+        assert_eq!(t.state(), NodeState::Healthy);
+        assert!(t.retired(), "a request still in flight cannot un-retire");
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! duplicates collapse onto one work item keyed by the point's
 //! content-hashed cache entry name, and points already present in the
 //! coordinator's local [`ResultStore`] never enter the queue at all.
-//! Each node gets one worker loop that **pulls greedily**: a fast node
+//! Each node gets `--threads` worker loops (*lanes*, so that many
+//! requests in flight per node) that **pull greedily**: a fast node
 //! simply comes back for more work sooner, so load balancing (and work
 //! stealing from slow nodes) falls out of the queue discipline with no
-//! explicit placement policy.
+//! explicit placement policy. A single-address fleet is the plain
+//! remote sweep against one `btbx serve`.
 //!
 //! # Failure semantics
 //!
@@ -21,10 +23,18 @@
 //! for probation re-admission (re-verifying the compat handshake — a
 //! node restarted with a different [`crate::sweep::CACHE_VERSION`] is
 //! not let back in); after `probe_give_up` consecutive failed probes
-//! the worker retires. Deterministic rejections (HTTP 4xx) fail the
-//! point immediately — retrying a malformed point on every node cannot
-//! help. A sweep therefore always terminates: with complete results,
-//! or with a precise [`PointError`] list of what failed where.
+//! the node is retired for good and all its lanes leave, even if a
+//! request still in flight there succeeds afterwards. Deterministic
+//! rejections (HTTP 4xx) fail the point immediately — retrying a
+//! malformed point on every node cannot help.
+//!
+//! A `429` is back-pressure, not failure: the node *chose* to shed the
+//! request (`--max-inflight`), so the point is requeued with a short
+//! linear backoff without touching the node's health or spending one
+//! of the point's attempts. Only past `MAX_SHEDS` (60) sheds does a
+//! 429 count as an ordinary failed attempt. A sweep therefore always
+//! terminates: with complete results, or with a precise [`PointError`]
+//! list of what failed where.
 //!
 //! # Cache flow
 //!
@@ -43,6 +53,16 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Sheds (`429` answers) one point absorbs as back-pressure before a
+/// further 429 counts as an ordinary failed attempt.
+const MAX_SHEDS: u32 = 60;
+
+/// Requeue delay after a shed, multiplied by the point's shed count.
+const SHED_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Ceiling on the per-shed requeue delay.
+const MAX_SHED_BACKOFF: Duration = Duration::from_secs(2);
+
 /// Coordinator tuning; [`ClusterConfig::new`] picks defaults that suit
 /// a local fleet, [`ClusterConfig::from_opts`] threads the CLI's
 /// `--http-timeout-ms` through.
@@ -56,8 +76,8 @@ pub struct ClusterConfig {
     pub probe_timeout: Duration,
     /// Delay between re-admission probes of a dead node.
     pub probe_interval: Duration,
-    /// Consecutive failed probes after which a dead node's worker
-    /// retires for the rest of the sweep.
+    /// Consecutive failed probes after which a dead node is retired
+    /// (all its lanes leave) for the rest of the sweep.
     pub probe_give_up: u32,
     /// Attempts per point across the whole fleet before it is reported
     /// failed.
@@ -100,12 +120,16 @@ pub struct ClusterStats {
     /// Points answered from the coordinator's local cache (never
     /// dispatched).
     pub local_hits: u64,
-    /// Requests dispatched to nodes (completions + failures + retries).
+    /// Requests dispatched to nodes (completions + failures + retries
+    /// + sheds).
     pub dispatched: u64,
     /// Points completed by the fleet.
     pub completed: u64,
     /// Requeues after a failed request (retry-on-node-loss).
     pub requeued: u64,
+    /// Requests a node shed with `429` and that were requeued without
+    /// spending an attempt.
+    pub shed: u64,
     /// Points that exhausted their attempts (or were rejected
     /// deterministically) and are listed in
     /// [`ClusterReport::failures`].
@@ -182,7 +206,8 @@ pub enum ClusterEvent {
         /// Cache entry name.
         key: String,
     },
-    /// A node transitioned to [`NodeState::Dead`].
+    /// A failed request left its node [`NodeState::Dead`] (each lane
+    /// in flight on a dying node reports it).
     NodeDied {
         /// Node address.
         node: String,
@@ -202,6 +227,10 @@ struct WorkItem {
     point: SimPoint,
     indices: Vec<usize>,
     attempts: usize,
+    sheds: u32,
+    /// Whether the pending dispatch is already in the journal: a shed
+    /// retry re-sends the same attempt and writes no new record.
+    journaled: bool,
     not_before: Instant,
 }
 
@@ -222,13 +251,18 @@ impl QueueState {
     }
 }
 
-struct Queue {
+/// The shared work queue plus what its lanes publish through.
+struct Queue<'a> {
     name: String,
     state: Mutex<QueueState>,
     cv: Condvar,
+    config: &'a ClusterConfig,
+    store: &'a ResultStore,
+    jnl: &'a SweepJournal,
+    observer: &'a (dyn Fn(ClusterEvent) + Sync),
 }
 
-impl Queue {
+impl Queue<'_> {
     /// Pull the next ready work item; blocks while items back off.
     /// `None` means the sweep is finished (drained, failed out, or
     /// fatally errored).
@@ -260,12 +294,12 @@ impl Queue {
 
     /// Publish a completed item: write-through to the local store and
     /// fill every matrix slot it answers.
-    fn complete(&self, item: WorkItem, result: SimResult, store: &ResultStore, jnl: &SweepJournal) {
-        let stored = store.store(&item.key, &result);
+    fn complete(&self, item: WorkItem, result: SimResult) {
+        let stored = self.store.store(&item.key, &result);
         if stored.is_ok() {
             // Only after the local entry is durable: `done` is the
             // resume contract's "this point will never re-run" record.
-            jnl.done(&item.key);
+            self.jnl.done(&item.key);
         }
         let mut st = self.state.lock().unwrap();
         st.in_flight -= 1;
@@ -288,45 +322,67 @@ impl Queue {
         self.cv.notify_all();
     }
 
-    /// Settle a failed request: requeue with backoff, or convert to a
-    /// permanent [`PointError`] when attempts are exhausted (or the
-    /// rejection was deterministic). Returns the requeue decision.
-    fn settle_failure(
-        &self,
-        mut item: WorkItem,
-        node: &str,
-        error: RequestError,
-        config: &ClusterConfig,
-        jnl: &SweepJournal,
-    ) -> Option<usize> {
-        item.attempts += 1;
-        let permanent = error.is_permanent() || item.attempts >= config.max_attempts;
-        if permanent {
-            jnl.failed(&item.key, &error.to_string());
+    /// Settle a failed request on `tracker`'s node. A shed (`429`, up
+    /// to [`MAX_SHEDS`] per point) requeues the item with linear backoff
+    /// and leaves both the node's health and the item's attempts
+    /// untouched. Any other failure feeds the node's state machine and
+    /// requeues with exponential backoff, or becomes a permanent
+    /// [`PointError`] when attempts are exhausted (or the rejection was
+    /// deterministic).
+    fn settle_failure(&self, mut item: WorkItem, tracker: &NodeTracker, error: RequestError) {
+        if error.is_shed() && item.sheds < MAX_SHEDS {
+            item.sheds += 1;
+            item.not_before = Instant::now()
+                + SHED_BACKOFF
+                    .saturating_mul(item.sheds)
+                    .min(MAX_SHED_BACKOFF);
+            let mut st = self.state.lock().unwrap();
+            st.in_flight -= 1;
+            st.stats.shed += 1;
+            st.pending.push(item);
+            self.cv.notify_all();
+            return;
         }
+        let node = tracker.addr().to_string();
+        eprintln!("[cluster] {node} failed `{}`: {error}", item.label);
+        if tracker.record_failure() == NodeState::Dead {
+            (self.observer)(ClusterEvent::NodeDied { node: node.clone() });
+        }
+        item.attempts += 1;
+        item.journaled = false;
+        let permanent = error.is_permanent() || item.attempts >= self.config.max_attempts;
+        if permanent {
+            self.jnl.failed(&item.key, &error.to_string());
+        }
+        let key = item.key.clone();
         let mut st = self.state.lock().unwrap();
         st.in_flight -= 1;
-        let outcome = if permanent {
+        let event = if permanent {
             st.stats.failed += 1;
             st.failures.push(PointError {
-                node: node.to_string(),
+                node: node.clone(),
                 point: item.key,
                 label: item.label,
                 error,
             });
-            None
+            ClusterEvent::PointFailed { node, key }
         } else {
             let attempts = item.attempts;
             let shift = (attempts - 1).min(6) as u32;
             // saturating: a user-configured base backoff near the
             // Duration ceiling must slow down, not panic on overflow.
-            item.not_before = Instant::now() + config.backoff.saturating_mul(1u32 << shift);
+            item.not_before = Instant::now() + self.config.backoff.saturating_mul(1u32 << shift);
             st.stats.requeued += 1;
             st.pending.push(item);
-            Some(attempts)
+            ClusterEvent::Requeued {
+                node,
+                key,
+                attempts,
+            }
         };
         self.cv.notify_all();
-        outcome
+        drop(st);
+        (self.observer)(event);
     }
 
     /// A worker is leaving (sweep done, or its node retired). The last
@@ -472,6 +528,8 @@ pub fn run_sweep_observed(
                     point: point.clone(),
                     indices: vec![i],
                     attempts: 0,
+                    sheds: 0,
+                    journaled: false,
                     not_before: Instant::now(),
                 });
             }
@@ -526,12 +584,13 @@ pub fn run_sweep_observed(
     }
 
     let to_compute = pending.len();
+    let lanes = opts.threads.max(1);
     let queue = Queue {
         name: format!("{}@cluster", sweep.name),
         state: Mutex::new(QueueState {
             pending,
             in_flight: 0,
-            live_workers: trackers.len(),
+            live_workers: trackers.len() * lanes,
             to_compute,
             results,
             failures: Vec::new(),
@@ -539,17 +598,19 @@ pub fn run_sweep_observed(
             fatal: None,
         }),
         cv: Condvar::new(),
+        config,
+        store: &store,
+        jnl: &jnl,
+        observer,
     };
 
     std::thread::scope(|scope| {
         for tracker in &trackers {
-            let queue = &queue;
-            let store = &store;
-            let fleet = &fleet;
-            let jnl = &jnl;
-            scope.spawn(move || {
-                node_worker(queue, tracker, config, store, fleet, jnl, observer);
-            });
+            for lane in 0..lanes {
+                let queue = &queue;
+                let fleet = &fleet;
+                scope.spawn(move || node_worker(queue, tracker, lane, fleet));
+            }
         }
     });
 
@@ -621,92 +682,74 @@ fn publish_pending_traces(name: &str, store: &ResultStore, pending: &[WorkItem])
     }
 }
 
-/// One node's worker loop: pull greedily while the node serves, probe
-/// for re-admission while it is dead, retire past the give-up bound.
-fn node_worker(
-    queue: &Queue,
-    tracker: &NodeTracker,
-    config: &ClusterConfig,
-    store: &ResultStore,
-    fleet: &HealthInfo,
-    jnl: &SweepJournal,
-    observer: &(dyn Fn(ClusterEvent) + Sync),
-) {
+/// One lane of a node's workers: pull greedily while the node serves.
+/// While it is dead, lane 0 probes for re-admission and the other lanes
+/// wait on its verdict; past the give-up bound lane 0 retires the node
+/// and every lane leaves.
+fn node_worker(queue: &Queue, tracker: &NodeTracker, lane: usize, fleet: &HealthInfo) {
+    let config = queue.config;
     let addr = tracker.addr();
     loop {
+        if tracker.retired() {
+            break;
+        }
         if !tracker.state().serves() {
             // Out of rotation: probe for probation re-admission.
             if queue.wait_finished(config.probe_interval) {
                 break;
             }
-            match protocol::probe_health(addr, config.probe_timeout) {
-                Ok(info)
-                    if info.cache_version == fleet.cache_version && info.shards == fleet.shards =>
-                {
-                    tracker.record_probe_success();
-                    eprintln!("[cluster] {addr} re-admitted on probation");
-                    observer(ClusterEvent::NodeReadmitted {
-                        node: addr.to_string(),
-                    });
-                }
+            if lane > 0 {
+                continue;
+            }
+            let compatible = match protocol::probe_health(addr, config.probe_timeout) {
                 Ok(info) => {
-                    // Alive but incompatible (e.g. restarted on another
-                    // version): never re-admit, it would poison the
-                    // result set. Treated as a failed probe.
-                    eprintln!(
-                        "[cluster] {addr} is alive but incompatible \
-                         (cache v{} shards {}, fleet v{} shards {}); not re-admitting",
-                        info.cache_version, info.shards, fleet.cache_version, fleet.shards
-                    );
-                    if tracker.record_probe_failure() >= config.probe_give_up {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    if tracker.record_probe_failure() >= config.probe_give_up {
+                    let same =
+                        info.cache_version == fleet.cache_version && info.shards == fleet.shards;
+                    if !same {
+                        // Alive but incompatible (e.g. restarted on
+                        // another version): never re-admit, it would
+                        // poison the result set.
                         eprintln!(
-                            "[cluster] {addr} failed {} probes; retiring it for this sweep",
-                            config.probe_give_up
+                            "[cluster] {addr} is alive but incompatible \
+                             (cache v{} shards {}, fleet v{} shards {}); not re-admitting",
+                            info.cache_version, info.shards, fleet.cache_version, fleet.shards
                         );
-                        break;
                     }
+                    same
                 }
+                Err(_) => false,
+            };
+            if compatible {
+                tracker.record_probe_success();
+                eprintln!("[cluster] {addr} re-admitted on probation");
+                (queue.observer)(ClusterEvent::NodeReadmitted {
+                    node: addr.to_string(),
+                });
+            } else if tracker.record_probe_failure() >= config.probe_give_up {
+                eprintln!(
+                    "[cluster] {addr} failed {} probes; retiring it for this sweep",
+                    config.probe_give_up
+                );
+                tracker.retire();
             }
             continue;
         }
-        let Some(item) = queue.pull() else { break };
-        jnl.attempt(&item.key, &item.label);
+        let Some(mut item) = queue.pull() else { break };
+        if !item.journaled {
+            queue.jnl.attempt(&item.key, &item.label);
+            item.journaled = true;
+        }
         match protocol::post_point(addr, &item.point, config.http_timeout) {
             Ok(result) => {
                 tracker.record_success();
                 let key = item.key.clone();
-                queue.complete(item, result, store, jnl);
-                observer(ClusterEvent::PointDone {
+                queue.complete(item, result);
+                (queue.observer)(ClusterEvent::PointDone {
                     node: addr.to_string(),
                     key,
                 });
             }
-            Err(error) => {
-                let state = tracker.record_failure();
-                eprintln!("[cluster] {addr} failed `{}`: {error}", item.label);
-                if state == NodeState::Dead {
-                    observer(ClusterEvent::NodeDied {
-                        node: addr.to_string(),
-                    });
-                }
-                let key = item.key.clone();
-                match queue.settle_failure(item, addr, error, config, jnl) {
-                    Some(attempts) => observer(ClusterEvent::Requeued {
-                        node: addr.to_string(),
-                        key,
-                        attempts,
-                    }),
-                    None => observer(ClusterEvent::PointFailed {
-                        node: addr.to_string(),
-                        key,
-                    }),
-                }
-            }
+            Err(error) => queue.settle_failure(item, tracker, error),
         }
     }
     queue.retire_worker(addr);
@@ -725,4 +768,147 @@ pub fn sweep_via_cluster(
     config: &ClusterConfig,
 ) -> Result<Vec<SimResult>, ClusterError> {
     run_sweep(sweep, opts, config)?.into_results()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use btbx_core::storage::BudgetPoint;
+    use btbx_core::OrgKind;
+    use btbx_trace::suite;
+
+    /// A one-item queue over scratch store and journal directories.
+    fn with_queue(tag: &str, check: impl FnOnce(&Queue, WorkItem)) {
+        let dir = std::env::temp_dir().join(format!("btbx-sched-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(dir.join("cache")).unwrap();
+        let (jnl, _) = SweepJournal::open(&dir, 1, false).unwrap();
+        let mut config = ClusterConfig::new(vec!["n:1".into()]);
+        config.probe_interval = Duration::from_millis(10);
+        let point = Sweep::named("sched")
+            .workloads(suite::ipc1_client().into_iter().take(1))
+            .orgs([OrgKind::Conv])
+            .budgets([BudgetPoint::Kb0_9])
+            .points()
+            .remove(0);
+        let item = WorkItem {
+            key: point.cache_file_for(1),
+            label: "p".into(),
+            point,
+            indices: vec![0],
+            attempts: 0,
+            sheds: 0,
+            journaled: false,
+            not_before: Instant::now(),
+        };
+        let queue = Queue {
+            name: "sched".into(),
+            state: Mutex::new(QueueState {
+                pending: Vec::new(),
+                in_flight: 1,
+                live_workers: 1,
+                to_compute: 1,
+                results: vec![None],
+                failures: Vec::new(),
+                stats: ClusterStats::default(),
+                fatal: None,
+            }),
+            cv: Condvar::new(),
+            config: &config,
+            store: &store,
+            jnl: &jnl,
+            observer: &|_| {},
+        };
+        check(&queue, item);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn shed() -> RequestError {
+        RequestError::Status {
+            status: 429,
+            body: String::new(),
+        }
+    }
+
+    #[test]
+    fn a_shed_requeues_without_spending_an_attempt_or_node_health() {
+        with_queue("shed", |queue, mut item| {
+            let tracker = NodeTracker::new("n:1", NodeState::Healthy);
+            item.journaled = true;
+            queue.settle_failure(item, &tracker, shed());
+            assert_eq!(tracker.state(), NodeState::Healthy);
+            let st = queue.state.lock().unwrap();
+            assert_eq!(st.pending.len(), 1, "a shed point is requeued");
+            assert_eq!(st.pending[0].attempts, 0, "a shed spends no attempt");
+            assert_eq!(st.pending[0].sheds, 1);
+            assert!(
+                st.pending[0].journaled,
+                "a shed retry writes no new attempt"
+            );
+            assert_eq!(st.in_flight, 0);
+            assert_eq!(
+                (st.stats.shed, st.stats.requeued, st.stats.failed),
+                (1, 0, 0)
+            );
+        });
+    }
+
+    #[test]
+    fn a_retired_node_stays_retired_for_every_lane_after_a_late_success() {
+        with_queue("retire", |queue, item| {
+            {
+                let mut st = queue.state.lock().unwrap();
+                st.in_flight = 0;
+                st.live_workers = 3;
+                st.pending.push(item);
+            }
+            let fleet = protocol::health_info(1);
+            // Nothing listens on port 1, so every probe fails: lane 0
+            // gives up and retires the node.
+            let tracker = NodeTracker::new("127.0.0.1:1", NodeState::Dead);
+            node_worker(queue, &tracker, 0, &fleet);
+            assert!(tracker.retired());
+            // A request still in flight on another lane then succeeds,
+            // and two more failures kill the node again.
+            tracker.record_success();
+            tracker.record_failure();
+            tracker.record_failure();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::scope(|scope| {
+                for lane in 1..3 {
+                    let (tx, tracker, fleet) = (tx.clone(), &tracker, &fleet);
+                    scope.spawn(move || {
+                        node_worker(queue, tracker, lane, fleet);
+                        tx.send(()).unwrap();
+                    });
+                }
+                let left = (1..3).all(|_| rx.recv_timeout(Duration::from_secs(10)).is_ok());
+                if !left {
+                    // Release the stuck lanes so the test fails, not hangs.
+                    queue.state.lock().unwrap().fatal = Some(ClusterError::NoNodes);
+                    queue.cv.notify_all();
+                }
+                assert!(left, "every lane of a retired node leaves");
+            });
+            let st = queue.state.lock().unwrap();
+            assert_eq!(st.live_workers, 0);
+            assert_eq!(st.failures.len(), 1, "the last lane out fails the point");
+            assert!(matches!(st.failures[0].error, RequestError::FleetDown));
+        });
+    }
+
+    #[test]
+    fn sheds_past_the_bound_count_as_failed_attempts() {
+        with_queue("shed-bound", |queue, mut item| {
+            let tracker = NodeTracker::new("n:1", NodeState::Healthy);
+            item.sheds = MAX_SHEDS;
+            item.journaled = true;
+            queue.settle_failure(item, &tracker, shed());
+            assert_eq!(tracker.state(), NodeState::Suspect);
+            let st = queue.state.lock().unwrap();
+            assert_eq!(st.pending[0].attempts, 1);
+            assert!(!st.pending[0].journaled, "a real retry is a new attempt");
+            assert_eq!((st.stats.shed, st.stats.requeued), (0, 1));
+        });
+    }
 }

@@ -1,6 +1,6 @@
 //! The crash-resumable sweep journal.
 //!
-//! Every sweep transport (local, `--server`, `--cluster`) appends one
+//! Every sweep transport (local or `--cluster`) appends one
 //! JSON record per per-point event — `attempt`, `done`, `failed` — to an
 //! fsync'd journal under `<out>/cache/journal/`, keyed by a content hash
 //! of the sweep's work list. A sweep killed mid-run leaves behind a

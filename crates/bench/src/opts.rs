@@ -22,7 +22,8 @@ pub struct HarnessOpts {
     pub fresh: bool,
     /// Output directory for CSV/JSON artifacts and the simulation cache.
     pub out_dir: PathBuf,
-    /// Worker threads.
+    /// Worker threads; for `--cluster`, the requests kept in flight
+    /// per node.
     pub threads: usize,
     /// Trace shards per simulation (1 = serial replay). Sharded runs
     /// split each simulation into `N` interval shards that hand warm
@@ -33,8 +34,8 @@ pub struct HarnessOpts {
     /// suites (`sweep` substitutes it for the selected suite; `bench`
     /// measures file-backed throughput on it).
     pub trace: Option<PathBuf>,
-    /// HTTP client timeout in milliseconds for `--server`/`--cluster`
-    /// transports, applied per phase (connect, write, read) so a wedged
+    /// HTTP client timeout in milliseconds for the `--cluster`
+    /// transport, applied per phase (connect, write, read) so a wedged
     /// node cannot stall a sweep indefinitely.
     pub http_timeout_ms: u64,
     /// Resume a crashed sweep from its journal: points the journal
@@ -252,12 +253,13 @@ options:
   --measure N        measured instructions per simulation  [1000000]
   --offset-instrs N  instructions per offset study         [1000000]
   --quick            preset: 150k warm-up / 300k measured windows
-  --threads N        worker threads                        [all cores]
+  --threads N        worker threads; with --cluster, requests in
+                     flight per node                       [all cores]
   --shards N         interval shards per simulation        [1]
   --trace FILE       replay a .btbt trace container instead of the
                      synthetic suites (see `btbx trace --help`)
-  --http-timeout-ms N  per-phase HTTP timeout for --server/--cluster
-                     transports                           [600000]
+  --http-timeout-ms N  per-phase HTTP timeout for the --cluster
+                     transport                            [600000]
   --fresh            re-simulate even when cached results exist
   --resume           resume a crashed sweep from its journal
                      (<out>/cache/journal/), re-dispatching only

@@ -441,7 +441,7 @@ impl Sweep {
     /// ([`btbx_uarch::batch`]). Batched lanes are bit-identical to
     /// per-point runs — `crates/bench/tests/batch_differential.rs` pins
     /// stats *and* cache-entry bytes — and publish under the same cache
-    /// keys, so figures, `--server`, `--cluster` and `--resume` consume
+    /// keys, so figures, `--cluster` and `--resume` consume
     /// them unchanged. A batched group runs its lanes unsharded (exactly
     /// equivalent, per the cache-v3 contract); `--no-batch` forces the
     /// per-point path.

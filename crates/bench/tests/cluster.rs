@@ -2,11 +2,14 @@
 //! `LocalCluster` must produce results byte-identical to the serial CLI
 //! sweep, compute each unique point exactly once fleet-wide, and
 //! survive a node being killed mid-sweep (requeue + completion on the
-//! survivors).
+//! survivors); a one-node fleet must ride out a shedding server.
 
 use btbx_bench::cluster::{
     self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState,
 };
+use btbx_bench::faults::{self, ErrKind, FaultOp, FaultPlan, FaultRule};
+use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
+use btbx_bench::serve::{ServeConfig, Server};
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
@@ -223,4 +226,63 @@ fn an_unreachable_fleet_is_a_typed_error_not_a_hang() {
     .expect_err("no node is listening");
     assert!(matches!(err, ClusterError::NoUsableNodes { .. }), "{err}");
     let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_shedding_node_slows_a_sweep_down_without_failing_it() {
+    // One slot, four lanes: three of every four concurrent requests are
+    // shed with 429, and each must come back later instead of failing
+    // its point or benching the (perfectly healthy) node.
+    let base = scratch("shed");
+    let server = Server::start(ServeConfig {
+        port: 0,
+        cache_dir: base.join("node").join("cache"),
+        threads: 4,
+        shards: 1,
+        max_inflight: 1,
+        deadline: None,
+        store: None,
+        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+    })
+    .expect("server starts");
+    // Stall the node's cache publishes so every admitted request holds
+    // the slot long enough for its peers to be shed.
+    let _stall = faults::arm(FaultPlan {
+        seed: 13,
+        rules: vec![FaultRule {
+            op: FaultOp::Write,
+            kind: ErrKind::Stall,
+            path: base.join("node").to_string_lossy().into_owned(),
+            nth: 1,
+            count: 0,
+            delay_ms: 200,
+        }],
+    });
+
+    let coord_opts = HarnessOpts {
+        threads: 4,
+        ..opts(&base.join("coordinator"))
+    };
+    let sweep = four_point_sweep();
+    let report = cluster::run_sweep(
+        &sweep,
+        &coord_opts,
+        &config(vec![server.addr().to_string()]),
+    )
+    .expect("cluster sweep runs");
+
+    assert_eq!(report.stats.failed, 0, "{:?}", report.failures);
+    assert_eq!(report.stats.completed, 4);
+    assert!(
+        report.stats.shed > 0,
+        "no request was shed: {:?}",
+        report.stats
+    );
+    assert_eq!(report.nodes[0].state, NodeState::Healthy);
+    assert_eq!(report.nodes[0].failures, 0);
+    assert_eq!(report.into_results().expect("complete").len(), 4);
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&base);
 }

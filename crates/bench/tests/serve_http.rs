@@ -2,6 +2,7 @@
 //! request deduplication, byte-identity with the serial CLI sweep path,
 //! and graceful shutdown.
 
+use btbx_bench::cluster::{self, ClusterConfig};
 use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
 use btbx_bench::serve::{http_request, ServeConfig, Server};
 use btbx_bench::{HarnessOpts, Sweep};
@@ -213,7 +214,7 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
 }
 
 #[test]
-fn sweep_via_server_matches_local_sweep_order_and_results() {
+fn one_node_cluster_sweep_matches_local_sweep_order_and_results() {
     let (server, out) = start("sweep-client", 1);
     let addr = server.addr().to_string();
     let sweep = two_point_sweep();
@@ -234,15 +235,23 @@ fn sweep_via_server_matches_local_sweep_order_and_results() {
         store: None,
     };
     let local = sweep.run(&opts);
-    let remote =
-        btbx_bench::serve::sweep_via_server(&sweep, &opts, &addr).expect("server sweep succeeds");
+    // The client gets its own out dir, so no point is answered from
+    // the local sweep's cache: every one travels to the server.
+    let remote_out = scratch("sweep-client-remote");
+    let remote_opts = HarnessOpts {
+        out_dir: remote_out.clone(),
+        ..opts.clone()
+    };
+    let remote = cluster::sweep_via_cluster(&sweep, &remote_opts, &ClusterConfig::new(vec![addr]))
+        .expect("one-node cluster sweep succeeds");
     assert_eq!(local, remote, "remote sweep must mirror the local one");
 
     // A dead address surfaces as a typed handshake error, not a panic.
-    let err = btbx_bench::serve::sweep_via_server(&sweep, &opts, "127.0.0.1:9")
+    let dead = ClusterConfig::new(vec!["127.0.0.1:9".into()]);
+    let err = cluster::sweep_via_cluster(&sweep, &remote_opts, &dead)
         .expect_err("unreachable server must be a typed error");
     assert!(
-        matches!(err, btbx_bench::cluster::ClusterError::Unreachable { .. }),
+        matches!(err, cluster::ClusterError::NoUsableNodes { .. }),
         "{err}"
     );
 
@@ -250,6 +259,7 @@ fn sweep_via_server_matches_local_sweep_order_and_results() {
     server.join();
     let _ = fs::remove_dir_all(&out);
     let _ = fs::remove_dir_all(&local_out);
+    let _ = fs::remove_dir_all(&remote_out);
 }
 
 #[test]
@@ -284,6 +294,48 @@ fn deeply_nested_body_is_rejected_and_the_server_survives() {
     let deep = http_request(&addr, "POST", "/sim", &body).unwrap();
     assert_eq!(deep.status, 400, "{}", deep.body);
     assert!(deep.body.contains("nested deeper"), "{}", deep.body);
+
+    let health = http_request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&out);
+}
+
+/// Send `head` raw and return whatever the server answers. Write errors
+/// are ignored: the server refuses after reading a bounded prefix and
+/// closes, so the rest of an oversized head may meet a reset.
+fn send_raw_head(addr: std::net::SocketAddr, head: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let _ = raw.write_all(head);
+    let mut response = Vec::new();
+    let _ = raw.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+#[test]
+fn oversized_request_heads_are_rejected_and_the_server_survives() {
+    // Unbounded `read_line` used to buffer a request line or header of
+    // any length, and accepted any number of headers.
+    let (server, out) = start("oversized-head", 1);
+    let addr = server.addr().to_string();
+
+    let mut long_line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(1 << 20)).into_bytes();
+    long_line.extend_from_slice(b"\r\n");
+    let response = send_raw_head(server.addr(), &long_line);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("line too long"), "{response}");
+
+    let mut many_headers = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..10_000 {
+        many_headers.extend_from_slice(format!("X-Pad-{i}: 1\r\n").as_bytes());
+    }
+    many_headers.extend_from_slice(b"\r\n");
+    let response = send_raw_head(server.addr(), &many_headers);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("too many headers"), "{response}");
 
     let health = http_request(&addr, "GET", "/healthz", "").unwrap();
     assert_eq!(health.status, 200, "{}", health.body);

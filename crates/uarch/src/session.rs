@@ -148,7 +148,6 @@ pub struct SimSession<'a, S, B: Btb = Box<dyn Btb>> {
     label: Option<String>,
     observer: Option<Observer<'a>>,
     abort: Option<Arc<AtomicBool>>,
-    fast_forward: bool,
 }
 
 impl<'a, S: TraceSource> SimSession<'a, S> {
@@ -163,7 +162,6 @@ impl<'a, S: TraceSource> SimSession<'a, S> {
             label: None,
             observer: None,
             abort: None,
-            fast_forward: false,
         }
     }
 }
@@ -189,7 +187,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
             label: self.label,
             observer: self.observer,
             abort: self.abort,
-            fast_forward: self.fast_forward,
         }
     }
 
@@ -249,18 +246,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
         self
     }
 
-    /// Enable the O(1) inert-cycle fast-forward
-    /// ([`Simulator::set_fast_forward`]): spans of cycles in which no
-    /// pipeline stage can act are jumped instead of ticked. Results are
-    /// bit-identical to the plain tick loop — the batched executor
-    /// ([`crate::batch`]) turns this on for every lane, and the
-    /// differential suite pins the identity. Off by default so the
-    /// reference tick loop stays the oracle.
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
-        self
-    }
-
     /// Run the simulation.
     ///
     /// # Errors
@@ -284,7 +269,9 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                 self.measure,
                 self.observer,
                 self.abort,
-                self.fast_forward,
+                // Serial sessions run the plain tick loop, the oracle the
+                // differential suites compare fast-forward against.
+                false,
             )),
             BtbSource::Spec(spec) => {
                 // Static dispatch: the engine monomorphizes the hot path.
@@ -299,7 +286,7 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                     self.measure,
                     self.observer,
                     self.abort,
-                    self.fast_forward,
+                    false,
                 ))
             }
         }
