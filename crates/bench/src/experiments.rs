@@ -5,39 +5,13 @@
 
 use crate::opts::HarnessOpts;
 use crate::runner::run_jobs;
-use crate::sweep::{SimPoint, Sweep};
+use crate::sweep::Sweep;
 use btbx_analysis::hist::OffsetAggregate;
-use btbx_core::spec::Budget;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::stats::TraceStats;
 use btbx_trace::suite::{self, WorkloadSpec};
-use btbx_uarch::{SimConfig, SimResult};
-
-/// Run one simulation: `spec` on `org` at `budget_bits`, FDIP on/off
-/// (uncached; sweeps cache through [`Sweep::run`]).
-pub fn sim_one(
-    spec: &WorkloadSpec,
-    org: OrgKind,
-    budget_bits: u64,
-    fdip: bool,
-    warmup: u64,
-    measure: u64,
-) -> SimResult {
-    let config = SimConfig {
-        fdip,
-        ..SimConfig::default()
-    };
-    SimPoint {
-        workload: spec.clone(),
-        org,
-        budget: Budget::Bits(budget_bits),
-        warmup,
-        measure,
-        config,
-    }
-    .run()
-}
+use btbx_uarch::SimResult;
 
 /// The Figure 9/10/Table V matrix: every IPC-1 workload × {Conv, PDede,
 /// BTB-X} × {FDIP, no FDIP} at the 14.5 KB budget.
@@ -140,13 +114,31 @@ pub fn is_server_workload(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SimPoint;
+    use btbx_core::spec::Budget;
     use btbx_core::types::Arch;
+    use btbx_uarch::SimConfig;
+
+    /// One uncached simulation of `org` on the first client workload.
+    fn point(org: OrgKind, budget: u64, fdip: bool, warmup: u64, measure: u64) -> SimResult {
+        SimPoint {
+            workload: suite::ipc1_client().remove(0),
+            org,
+            budget: Budget::Bits(budget),
+            warmup,
+            measure,
+            config: SimConfig {
+                fdip,
+                ..SimConfig::default()
+            },
+        }
+        .run()
+    }
 
     #[test]
-    fn sim_one_produces_complete_result() {
-        let spec = &suite::ipc1_client()[0];
+    fn sim_point_produces_complete_result() {
         let budget = BudgetPoint::Kb0_9.bits(Arch::Arm64);
-        let r = sim_one(spec, OrgKind::BtbX, budget, true, 10_000, 20_000);
+        let r = point(OrgKind::BtbX, budget, true, 10_000, 20_000);
         assert_eq!(r.workload, "client_001");
         assert_eq!(r.org, "btbx");
         assert!(r.fdip_enabled);
@@ -168,11 +160,10 @@ mod tests {
 
     #[test]
     fn find_matches_on_all_keys() {
-        let spec = &suite::ipc1_client()[0];
         let budget = BudgetPoint::Kb0_9.bits(Arch::Arm64);
         let results = vec![
-            sim_one(spec, OrgKind::Conv, budget, false, 5_000, 10_000),
-            sim_one(spec, OrgKind::BtbX, budget, true, 5_000, 10_000),
+            point(OrgKind::Conv, budget, false, 5_000, 10_000),
+            point(OrgKind::BtbX, budget, true, 5_000, 10_000),
         ];
         assert!(find(&results, "client_001", OrgKind::Conv, false, Some(budget)).is_some());
         assert!(find(&results, "client_001", OrgKind::Conv, true, None).is_none());

@@ -42,13 +42,6 @@ pub struct HarnessOpts {
     /// records as done (and whose cache entries exist) are skipped, and
     /// only incomplete points are re-dispatched.
     pub resume: bool,
-    /// Batch cache-missing sweep points that share a (workload, windows,
-    /// config) group into one trace traversal (`btbx_uarch::batch`).
-    /// Batched results are bit-identical to per-point runs and publish
-    /// under the same cache keys; `--no-batch` forces the per-point path
-    /// (reference oracle, and the baseline side of `btbx bench`'s
-    /// batched-throughput gate).
-    pub batch: bool,
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.
     pub fault_plan: Option<PathBuf>,
@@ -191,7 +184,6 @@ impl Default for HarnessOpts {
             trace: None,
             http_timeout_ms: DEFAULT_HTTP_TIMEOUT_MS,
             resume: false,
-            batch: true,
             fault_plan: None,
             store: None,
         }
@@ -264,9 +256,6 @@ options:
   --resume           resume a crashed sweep from its journal
                      (<out>/cache/journal/), re-dispatching only
                      incomplete points
-  --no-batch         run sweep points one at a time instead of batching
-                     same-workload points into one trace traversal
-                     (results are bit-identical either way)
   --fault-plan FILE  arm a JSON fault-injection plan for the run
                      (chaos testing; see EXPERIMENTS.md)
   --store URL        content-addressed store for cache blobs:
@@ -313,7 +302,6 @@ impl HarnessOpts {
                 }
                 "--fresh" => opts.fresh = true,
                 "--resume" => opts.resume = true,
-                "--no-batch" => opts.batch = false,
                 "--fault-plan" => {
                     let file = it.next().ok_or(OptError::BadValue {
                         flag: "--fault-plan".to_string(),
@@ -611,12 +599,6 @@ mod tests {
         assert_eq!(pool_split(1, 8), (1, 1));
         assert_eq!(pool_split(8, 4), (2, 4), "exact divisor prefers wide");
         assert_eq!(pool_split(0, 0), (1, 1), "zeroes clamp to one worker");
-    }
-
-    #[test]
-    fn no_batch_flag() {
-        assert!(parse(&[]).unwrap().batch, "batching is the default");
-        assert!(!parse(&["--no-batch"]).unwrap().batch);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! Since schema v5 the report additionally measures the **batched sweep
 //! matrix** ([`BatchedPass`]): the paper-evaluation org×budget×FDIP lane
 //! matrix run once per-point (the serial sweep path) and once through
-//! [`btbx_uarch::BatchSession`] over a single materialized event window
+//! [`btbx_uarch::BatchStream`] over a single materialized event window
 //! (the batched sweep path), both on one thread so the ratio isolates
 //! what batching amortizes (trace decode, event staging, inert-cycle
 //! fast-forward) rather than thread-level parallelism. The run *fails*

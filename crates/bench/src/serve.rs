@@ -600,7 +600,7 @@ fn blob_put(
 /// 503 (this request exceeded its budget; the server is healthy), any
 /// other panic or cache failure a 500.
 fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), (u16, String)> {
-    let name = point.cache_file_for(state.shards);
+    let name = point.cache_file();
     let abort = state.arm_deadline();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         state.store.get_or_compute(&name, false, || {
@@ -1006,9 +1006,11 @@ pub fn http_request_bytes(
     )?;
     stream.write_all(body)?;
     faults::check_http_read(&addr)?;
+    // The reply is as untrusted as a request: lines, header count and
+    // body size are bounded exactly as `read_request` bounds them.
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    read_line_bounded(&mut reader, &mut status_line)?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -1016,14 +1018,20 @@ pub fn http_request_bytes(
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
     let mut headers = Vec::new();
     let mut content_length: Option<usize> = None;
-    loop {
+    for lines in 0.. {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if read_line_bounded(&mut reader, &mut line)? == 0 {
             break;
         }
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        if lines == MAX_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "too many headers",
+            ));
         }
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim().to_ascii_lowercase();
@@ -1034,11 +1042,13 @@ pub fn http_request_bytes(
             headers.push((name, value));
         }
     }
+    let too_large = || io::Error::new(io::ErrorKind::InvalidData, "body too large");
     // A HEAD response advertises the blob's length but carries no body.
     let body = if method.eq_ignore_ascii_case("HEAD") {
         Vec::new()
     } else {
         match content_length {
+            Some(n) if n > MAX_BLOB_BYTES => return Err(too_large()),
             Some(n) => {
                 let mut buf = vec![0u8; n];
                 reader.read_exact(&mut buf)?;
@@ -1046,7 +1056,12 @@ pub fn http_request_bytes(
             }
             None => {
                 let mut buf = Vec::new();
-                reader.read_to_end(&mut buf)?;
+                reader
+                    .take(MAX_BLOB_BYTES as u64 + 1)
+                    .read_to_end(&mut buf)?;
+                if buf.len() > MAX_BLOB_BYTES {
+                    return Err(too_large());
+                }
                 buf
             }
         }

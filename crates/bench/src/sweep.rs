@@ -223,14 +223,6 @@ impl SimPoint {
             .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
             .result
     }
-
-    /// Cache file name for a run at the given shard count. Since
-    /// checkpoint mode (cache v3) sharded results are bit-identical to
-    /// serial ones, so every shard count shares the serial entry; the
-    /// parameter remains so callers keep a single call site.
-    pub fn cache_file_for(&self, _shards: usize) -> String {
-        self.cache_file()
-    }
 }
 
 /// 64-bit FNV-1a over `bytes`, folded over `seed`.
@@ -433,18 +425,19 @@ impl Sweep {
     ///
     /// # Batched execution
     ///
-    /// With `opts.batch` (the default) cache-missing points that share a
-    /// (workload, windows, FDIP-normalized config) stream are grouped
-    /// ([`plan_batches`]) and each group costs **one** trace traversal:
-    /// the decoded event window is materialized once and every
+    /// Cache-missing points that share a (workload, windows,
+    /// FDIP-normalized config) stream are grouped ([`plan_batches`]). A
+    /// group with at least two members and a window of at most
+    /// [`MAX_BATCH_WINDOW_EVENTS`] costs **one** trace traversal: the
+    /// decoded event window is materialized once and every
     /// org×budget×FDIP member runs as an independent lane over it
-    /// ([`btbx_uarch::batch`]). Batched lanes are bit-identical to
-    /// per-point runs — `crates/bench/tests/batch_differential.rs` pins
-    /// stats *and* cache-entry bytes — and publish under the same cache
-    /// keys, so figures, `--cluster` and `--resume` consume
-    /// them unchanged. A batched group runs its lanes unsharded (exactly
-    /// equivalent, per the cache-v3 contract); `--no-batch` forces the
-    /// per-point path.
+    /// ([`btbx_uarch::batch`]). Every other point streams its trace on
+    /// the per-point path. Batched lanes are bit-identical to per-point
+    /// runs — `crates/bench/tests/batch_differential.rs` pins stats
+    /// *and* cache-entry bytes — and publish under the same cache keys,
+    /// so figures, `--cluster` and `--resume` consume them unchanged. A
+    /// batched group runs its lanes unsharded (exactly equivalent, per
+    /// the cache-v3 contract).
     ///
     /// # Crash resumability
     ///
@@ -472,7 +465,7 @@ impl Sweep {
         .unwrap_or_else(|e| panic!("[{}] opening result cache: {e}", self.name));
         let points = self.points();
         let shards = opts.shards.max(1);
-        let names: Vec<String> = points.iter().map(|p| p.cache_file_for(shards)).collect();
+        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
         let (journal, recovery) =
             SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume)
                 .unwrap_or_else(|e| panic!("[{}] opening sweep journal: {e}", self.name));
@@ -514,28 +507,24 @@ impl Sweep {
         if hits > 0 {
             eprintln!("[{}] {hits}/{} cached", self.name, points.len());
         }
-        // Plan the dispatch units: batch groups of same-stream points
-        // when batching is on, singletons otherwise. Oversized windows
-        // and one-member groups fall back to the streaming per-point
-        // path (nothing to amortize, or too much to materialize).
-        let groups: Vec<Vec<usize>> = if opts.batch {
-            plan_batches(&points, &misses)
-                .into_iter()
-                .flat_map(|g| {
-                    let first = &points[g.members[0]];
-                    let batchable = g.members.len() > 1
-                        && first.measure != u64::MAX
-                        && first.warmup.saturating_add(first.measure) <= MAX_BATCH_WINDOW_EVENTS;
-                    if batchable {
-                        vec![g.members]
-                    } else {
-                        g.members.into_iter().map(|i| vec![i]).collect()
-                    }
-                })
-                .collect()
-        } else {
-            misses.iter().map(|&i| vec![i]).collect()
-        };
+        // Plan the dispatch units: batch groups of same-stream points.
+        // Oversized windows and one-member groups fall back to the
+        // streaming per-point path (nothing to amortize, or too much to
+        // materialize).
+        let groups: Vec<Vec<usize>> = plan_batches(&points, &misses)
+            .into_iter()
+            .flat_map(|g| {
+                let first = &points[g.members[0]];
+                let batchable = g.members.len() > 1
+                    && first.measure != u64::MAX
+                    && first.warmup.saturating_add(first.measure) <= MAX_BATCH_WINDOW_EVENTS;
+                if batchable {
+                    vec![g.members]
+                } else {
+                    g.members.into_iter().map(|i| vec![i]).collect()
+                }
+            })
+            .collect();
         // Thread accounting keys on dispatch units, not raw points: one
         // batched traversal replaces its whole group, so `groups.len()`
         // (not `misses.len()`) bounds useful point-level parallelism and
@@ -711,7 +700,6 @@ mod tests {
             trace: None,
             http_timeout_ms: 600_000,
             resume: false,
-            batch: true,
             fault_plan: None,
             store: None,
         }
@@ -1005,13 +993,23 @@ mod tests {
             .fdip_both()
             .windows(4_000, 8_000);
         let batched_opts = tiny_opts("btbx-sweep-batched");
-        let mut serial_opts = tiny_opts("btbx-sweep-unbatched");
-        serial_opts.batch = false;
+        let serial_opts = tiny_opts("btbx-sweep-unbatched");
         let _ = fs::remove_dir_all(&batched_opts.out_dir);
         let _ = fs::remove_dir_all(&serial_opts.out_dir);
 
         let batched = sweep.run(&batched_opts);
-        let serial = sweep.run(&serial_opts);
+        // One-point sweeps never batch: the per-point reference.
+        let serial: Vec<SimResult> = sweep
+            .points()
+            .into_iter()
+            .flat_map(|p| {
+                sweep
+                    .clone()
+                    .orgs([p.org])
+                    .fdip_options([p.config.fdip])
+                    .run(&serial_opts)
+            })
+            .collect();
         assert_eq!(batched.len(), 4);
         for (b, s) in batched.iter().zip(&serial) {
             assert_eq!(b, s, "batched lane must equal the per-point run");

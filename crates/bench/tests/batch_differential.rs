@@ -33,10 +33,31 @@ fn opts(out_dir: &Path) -> HarnessOpts {
         trace: None,
         http_timeout_ms: 600_000,
         resume: false,
-        batch: true,
         fault_plan: None,
         store: None,
     }
+}
+
+/// The per-point reference: each point of `sweep` run as its own
+/// one-point sweep. A singleton group never batches, so every point
+/// streams its trace on the per-point path, through the same store and
+/// journal as a batched lane.
+fn run_per_point(sweep: &Sweep, opts: &HarnessOpts) -> Vec<SimResult> {
+    sweep
+        .points()
+        .into_iter()
+        .flat_map(|p| {
+            let single = Sweep::named(format!("{}-point", sweep.name))
+                .workloads([p.workload.clone()])
+                .orgs([p.org])
+                .budgets([p.budget])
+                .fdip_options([p.config.fdip])
+                .windows(p.warmup, p.measure)
+                .config(sweep.config.clone());
+            assert_eq!(single.points(), [p], "one-point sweep covers its point");
+            single.run(opts)
+        })
+        .collect()
 }
 
 /// Assert that two completed sweep output directories hold
@@ -65,12 +86,8 @@ fn batched_matches_per_point_for_every_org_and_budget() {
         .windows(2_000, 4_000);
     let batched_dir = scratch("all-orgs-batched");
     let serial_dir = scratch("all-orgs-serial");
-    let batched_opts = opts(&batched_dir);
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
-
-    let batched = sweep.run(&batched_opts);
-    let serial = sweep.run(&serial_opts);
+    let batched = sweep.run(&opts(&batched_dir));
+    let serial = run_per_point(&sweep, &opts(&serial_dir));
     assert_eq!(batched.len(), OrgKind::ALL.len() * 3);
     for (b, s) in batched.iter().zip(&serial) {
         assert_eq!(
@@ -100,11 +117,9 @@ fn sharded_batched_sweep_matches_serial_unbatched_bytes() {
     let serial_dir = scratch("sharded-serial");
     let mut sharded_opts = opts(&sharded_dir);
     sharded_opts.shards = 3;
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
 
     let sharded_batched = sweep.run(&sharded_opts);
-    let serial = sweep.run(&serial_opts);
+    let serial = run_per_point(&sweep, &opts(&serial_dir));
     assert_eq!(sharded_batched, serial);
     assert_cache_bytes_equal(&sweep, &sharded_dir, &serial_dir);
     let _ = fs::remove_dir_all(&sharded_dir);
@@ -199,7 +214,7 @@ fn resume_restores_exactly_completed_points_under_batching() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `--no-batch` and batching agree even when the planner would have
+/// Per-point and batched runs agree even when the planner would have
 /// formed mixed groups (two workloads, both FDIP settings): grouping is
 /// invisible in every published artifact.
 #[test]
@@ -212,11 +227,9 @@ fn mixed_workload_groups_match_unbatched_end_to_end() {
         .windows(2_000, 4_000);
     let batched_dir = scratch("mixed-batched");
     let serial_dir = scratch("mixed-serial");
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
 
     let batched = sweep.run(&opts(&batched_dir));
-    let serial = sweep.run(&serial_opts);
+    let serial = run_per_point(&sweep, &opts(&serial_dir));
     assert_eq!(batched, serial);
     assert_cache_bytes_equal(&sweep, &batched_dir, &serial_dir);
     let _ = fs::remove_dir_all(&batched_dir);

@@ -76,7 +76,6 @@ fn opts(out_dir: &std::path::Path) -> HarnessOpts {
         trace: None,
         http_timeout_ms: 600_000,
         resume: false,
-        batch: true,
         fault_plan: None,
         store: None,
     }

@@ -183,7 +183,6 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
         trace: None,
         http_timeout_ms: 600_000,
         resume: false,
-        batch: true,
         fault_plan: None,
         store: None,
     });
@@ -199,7 +198,7 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
         assert_eq!(&served, cli, "served result diverges from CLI");
         // Byte-level: the response body is the serialized result, which
         // must match the CLI's cache file exactly.
-        let cache_file = cli_out.join("cache").join(point.cache_file_for(1));
+        let cache_file = cli_out.join("cache").join(point.cache_file());
         assert_eq!(
             response.body,
             fs::read_to_string(cache_file).unwrap(),
@@ -230,7 +229,6 @@ fn one_node_cluster_sweep_matches_local_sweep_order_and_results() {
         trace: None,
         http_timeout_ms: 600_000,
         resume: false,
-        batch: true,
         fault_plan: None,
         store: None,
     };
@@ -343,4 +341,51 @@ fn oversized_request_heads_are_rejected_and_the_server_survives() {
     server.shutdown().unwrap();
     server.join();
     let _ = fs::remove_dir_all(&out);
+}
+
+/// A one-shot raw peer: accept one connection, read the request head,
+/// answer with `reply` verbatim and close.
+fn hostile_peer(reply: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).unwrap_or(0) == 1 {
+            head.push(byte[0]);
+        }
+        // The client may hang up mid-reply once it has seen enough.
+        let _ = conn.write_all(&reply);
+    });
+    (addr, peer)
+}
+
+#[test]
+fn huge_reply_content_length_is_refused_not_allocated() {
+    // A 1 TiB Content-Length used to be allocated up front, which
+    // aborts the whole process.
+    let (addr, peer) =
+        hostile_peer(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n".to_vec());
+    let err = btbx_bench::serve::http_request_bytes(
+        &addr,
+        "GET",
+        "/blob/x",
+        b"",
+        Duration::from_secs(10),
+    )
+    .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    peer.join().unwrap();
+}
+
+#[test]
+fn oversized_reply_status_line_is_refused() {
+    let mut reply = format!("HTTP/1.1 200 {}\r\n", "x".repeat(1 << 20)).into_bytes();
+    reply.extend_from_slice(b"Content-Length: 2\r\n\r\n{}");
+    let (addr, peer) = hostile_peer(reply);
+    let err = http_request(&addr, "GET", "/healthz", "").unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    peer.join().unwrap();
 }

@@ -508,6 +508,23 @@ impl PackedFileSource {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ContainerError> {
         let mut file = faults::open(path.as_ref())?;
         let (info, index_offset, escape_offset) = read_header(&mut file)?;
+        // Every size below comes from the file itself: bound it by the
+        // file's real length before allocating anything for it.
+        let len = file.metadata()?.len();
+        let fits = |offset: u64, count: u64, width: usize| {
+            count
+                .checked_mul(width as u64)
+                .and_then(|bytes| bytes.checked_add(offset))
+                .is_some_and(|end| end <= len)
+        };
+        if !fits(escape_offset, info.escape_count, ESCAPE_BYTES) {
+            return Err(ContainerError::Corrupt(
+                "escape table runs past end of file",
+            ));
+        }
+        if !fits(index_offset, info.block_count as u64, INDEX_ENTRY_BYTES) {
+            return Err(ContainerError::Corrupt("index runs past end of file"));
+        }
 
         file.seek(SeekFrom::Start(escape_offset))?;
         let mut escapes = Vec::with_capacity(info.escape_count as usize);
@@ -532,6 +549,12 @@ impl PackedFileSource {
             };
             if e.start_instr != covered || e.events == 0 {
                 return Err(ContainerError::Corrupt("index is not a partition"));
+            }
+            if e.events > info.block_events {
+                return Err(ContainerError::Corrupt("index block exceeds block_events"));
+            }
+            if !fits(e.byte_offset, e.events as u64, 16) {
+                return Err(ContainerError::Corrupt("index block runs past end of file"));
             }
             covered += e.events as u64;
             index.push(e);
@@ -869,6 +892,91 @@ mod tests {
             PackedFileSource::open(temp_path("missing")),
             Err(ContainerError::Io(_))
         ));
+    }
+
+    /// Write a valid container, apply `forge` to its bytes, and open it.
+    fn open_forged(tag: &str, events: u64, forge: impl FnOnce(&mut Vec<u8>)) -> ContainerError {
+        let path = temp_path(tag);
+        write_to(&path, &mixed_stream(events), "forged");
+        let mut bytes = std::fs::read(&path).unwrap();
+        forge(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = PackedFileSource::open(&path);
+        let _ = std::fs::remove_file(&path);
+        match opened {
+            Err(err) => err,
+            // Replay is where a forged index entry used to bite.
+            Ok(source) => panic!(
+                "forged container opened; replay gave {:?}",
+                source.into_iter_instrs().next()
+            ),
+        }
+    }
+
+    /// Byte offset of index entry `i` in a container's bytes.
+    fn index_entry(bytes: &[u8], i: usize) -> usize {
+        u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize + i * INDEX_ENTRY_BYTES
+    }
+
+    #[test]
+    fn forged_escape_count_is_corrupt_not_an_abort() {
+        // 2^40 escapes would ask for a 44 TB table before reading one.
+        let err = open_forged("forge-escapes", 10_000, |b| {
+            b[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        assert!(
+            matches!(
+                err,
+                ContainerError::Corrupt("escape table runs past end of file")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn forged_block_count_is_corrupt_not_an_abort() {
+        let err = open_forged("forge-blocks", 10_000, |b| {
+            b[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(
+            matches!(err, ContainerError::Corrupt("index runs past end of file")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn forged_block_events_are_corrupt_not_an_abort() {
+        // One block claiming u32::MAX events (and a header agreeing), so
+        // the index still partitions the stream: replaying it would
+        // allocate a 68 GB block buffer.
+        let err = open_forged("forge-events", 100, |b| {
+            b[8..16].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+            let at = index_entry(b, 0) + 16;
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(
+            matches!(
+                err,
+                ContainerError::Corrupt("index block exceeds block_events")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn forged_block_offset_is_corrupt_not_an_abort() {
+        let err = open_forged("forge-offset", 100, |b| {
+            let at = index_entry(b, 0) + 8;
+            let end = b.len() as u64;
+            b[at..at + 8].copy_from_slice(&end.to_le_bytes());
+        });
+        assert!(
+            matches!(
+                err,
+                ContainerError::Corrupt("index block runs past end of file")
+            ),
+            "{err}"
+        );
     }
 
     #[test]

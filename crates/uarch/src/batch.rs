@@ -10,8 +10,9 @@
 //!   plus a bounded look-ahead slack) is materialized once into an
 //!   `Arc<PackedBuf>` ([`BatchStream::materialize`]); every lane streams
 //!   it through a zero-copy [`SharedSource`] clone.
-//! * **Engine construction** — all lane BTBs are validated and built
-//!   before any lane runs, so a bad spec fails the group up front.
+//! * **Engine construction** — each lane builds its BTB from its spec
+//!   through the same session back half a solo run uses; an invalid spec
+//!   fails that lane with [`SessionError::Spec`].
 //! * **Inert cycles** — every lane runs with
 //!   [`Simulator::set_fast_forward`](crate::sim::Simulator::set_fast_forward)
 //!   enabled, jumping spans of cycles in which no pipeline stage can act.
@@ -44,11 +45,10 @@ use crate::config::SimConfig;
 use crate::session::{self, SessionError};
 use crate::sim::EVENT_BLOCK_EVENTS;
 use crate::stats::SimResult;
-use btbx_core::engine::BtbEngine;
 use btbx_core::spec::BtbSpec;
 use btbx_trace::packed::{PackedBuf, SharedSource};
 use btbx_trace::TraceSource;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One simulation lane of a batched group: a BTB point plus the full
 /// simulator configuration it runs under (the per-lane FDIP flag lives in
@@ -120,16 +120,6 @@ impl BatchStream {
         self.buf.len()
     }
 
-    /// Warm-up window every lane runs.
-    pub fn warmup(&self) -> u64 {
-        self.warmup
-    }
-
-    /// Measurement window every lane runs.
-    pub fn measure(&self) -> u64 {
-        self.measure
-    }
-
     /// A zero-copy per-lane view of the window (an `Arc` clone).
     pub fn source(&self) -> SharedSource {
         SharedSource::new(self.name.clone(), Arc::clone(&self.buf))
@@ -145,14 +135,8 @@ impl BatchStream {
     ///
     /// [`SessionError::Spec`] when the lane's spec does not validate.
     pub fn run_lane(&self, lane: &BatchLane) -> Result<SimResult, SessionError> {
-        let engine = lane.spec.build_engine()?;
-        Ok(self.run_lane_engine(engine, lane))
-    }
-
-    /// [`run_lane`](Self::run_lane) with a pre-built engine.
-    pub fn run_lane_engine(&self, engine: BtbEngine, lane: &BatchLane) -> SimResult {
-        session::run_with(
-            engine,
+        Ok(session::run_with(
+            lane.spec.build_engine()?,
             lane.label.clone(),
             lane.spec.bits(),
             lane.config.clone(),
@@ -162,140 +146,7 @@ impl BatchStream {
             None,
             None,
             true,
-        )
-    }
-}
-
-/// Builder for a batched group: one workload window, many lanes.
-///
-/// ```
-/// use btbx_core::spec::BtbSpec;
-/// use btbx_core::storage::BudgetPoint;
-/// use btbx_core::OrgKind;
-/// use btbx_trace::suite;
-/// use btbx_uarch::batch::{BatchLane, BatchSession};
-/// use btbx_uarch::SimConfig;
-///
-/// let spec = &suite::ipc1_client()[0];
-/// let lanes: Vec<BatchLane> = [OrgKind::Conv, OrgKind::BtbX]
-///     .into_iter()
-///     .map(|org| BatchLane {
-///         spec: BtbSpec::of(org).at(BudgetPoint::Kb1_8),
-///         config: SimConfig::default(),
-///         label: org.id().to_string(),
-///     })
-///     .collect();
-/// let results = BatchSession::new(spec.build_trace())
-///     .lanes(lanes)
-///     .warmup(5_000)
-///     .measure(10_000)
-///     .run()
-///     .expect("valid lanes");
-/// assert_eq!(results.len(), 2);
-/// ```
-pub struct BatchSession<S> {
-    trace: S,
-    lanes: Vec<BatchLane>,
-    warmup: u64,
-    measure: u64,
-    threads: usize,
-}
-
-impl<S: TraceSource> BatchSession<S> {
-    /// Start a batched session over `trace`.
-    pub fn new(trace: S) -> Self {
-        BatchSession {
-            trace,
-            lanes: Vec::new(),
-            warmup: 0,
-            measure: u64::MAX,
-            threads: 1,
-        }
-    }
-
-    /// Set the lanes.
-    pub fn lanes(mut self, lanes: impl IntoIterator<Item = BatchLane>) -> Self {
-        self.lanes = lanes.into_iter().collect();
-        self
-    }
-
-    /// Append one lane.
-    pub fn lane(mut self, lane: BatchLane) -> Self {
-        self.lanes.push(lane);
-        self
-    }
-
-    /// Warm-up instructions per lane.
-    pub fn warmup(mut self, instructions: u64) -> Self {
-        self.warmup = instructions;
-        self
-    }
-
-    /// Measured instructions per lane (must be finite).
-    pub fn measure(mut self, instructions: u64) -> Self {
-        self.measure = instructions;
-        self
-    }
-
-    /// Worker threads running lanes concurrently (lanes are independent;
-    /// 1 = strictly sequential).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Run every lane; results in lane order.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Spec`] when any lane spec is invalid (checked for
-    /// the whole group before anything runs) and
-    /// [`SessionError::UnboundedMeasure`] without a finite window.
-    pub fn run(self) -> Result<Vec<SimResult>, SessionError> {
-        self.run_each(|_, _| {})
-    }
-
-    /// [`run`](Self::run), invoking `on_done(lane_index, &result)` as
-    /// each lane completes (possibly from a worker thread; calls are
-    /// serialized). Sweep-style callers publish and journal each lane the
-    /// moment it finishes, so a crash mid-group loses only unfinished
-    /// lanes.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_each(
-        self,
-        on_done: impl FnMut(usize, &SimResult) + Send,
-    ) -> Result<Vec<SimResult>, SessionError> {
-        let engines = self
-            .lanes
-            .iter()
-            .map(|l| l.spec.build_engine())
-            .collect::<Result<Vec<_>, _>>()?;
-        let slack = self
-            .lanes
-            .iter()
-            .map(|l| lookahead_slack(&l.config))
-            .max()
-            .unwrap_or(0);
-        let stream = BatchStream::materialize(self.trace, self.warmup, self.measure, slack)?;
-        let sink = Mutex::new(on_done);
-        let jobs: Vec<_> = engines
-            .into_iter()
-            .zip(&self.lanes)
-            .enumerate()
-            .map(|(i, (engine, lane))| {
-                let stream = &stream;
-                let sink = &sink;
-                move || {
-                    let result = stream.run_lane_engine(engine, lane);
-                    (sink.lock().expect("sink poisoned"))(i, &result);
-                    result
-                }
-            })
-            .collect();
-        Ok(crate::runner::run_jobs("batch", self.threads, jobs))
+        ))
     }
 }
 
@@ -325,16 +176,21 @@ mod tests {
         lanes
     }
 
+    fn slack(lanes: &[BatchLane]) -> u64 {
+        lanes
+            .iter()
+            .map(|l| lookahead_slack(&l.config))
+            .max()
+            .unwrap()
+    }
+
     #[test]
     fn batched_lanes_match_solo_sessions() {
         let spec = &suite::ipc1_client()[0];
-        let batched = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(4_000)
-            .measure(8_000)
-            .run()
-            .unwrap();
-        for (lane, got) in lanes().iter().zip(&batched) {
+        let stream =
+            BatchStream::materialize(spec.build_trace(), 4_000, 8_000, slack(&lanes())).unwrap();
+        for lane in lanes() {
+            let got = stream.run_lane(&lane).unwrap();
             let solo = SimSession::new(spec.build_trace())
                 .btb_spec(lane.spec)
                 .config(lane.config.clone())
@@ -350,75 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn lane_threads_do_not_change_results() {
-        let spec = &suite::ipc1_client()[0];
-        let serial = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(2_000)
-            .measure(5_000)
-            .run()
-            .unwrap();
-        let threaded = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(2_000)
-            .measure(5_000)
-            .threads(4)
-            .run()
-            .unwrap();
-        assert_eq!(serial.len(), threaded.len());
-        for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.stats, b.stats);
-        }
-    }
-
-    #[test]
-    fn on_done_fires_once_per_lane() {
-        let spec = &suite::ipc1_client()[0];
-        let seen = Mutex::new(Vec::new());
-        let results = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(1_000)
-            .measure(2_000)
-            .run_each(|i, r| seen.lock().unwrap().push((i, r.stats.instructions)))
-            .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen.len(), results.len());
-        for (i, (lane, instrs)) in seen.iter().enumerate() {
-            assert_eq!(*lane, i);
-            assert_eq!(*instrs, results[i].stats.instructions);
-        }
-    }
-
-    #[test]
     fn unbounded_measure_is_rejected() {
         let spec = &suite::ipc1_client()[0];
-        let err = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(1_000)
-            .run()
+        let err = BatchStream::materialize(spec.build_trace(), 1_000, u64::MAX, slack(&lanes()))
             .unwrap_err();
         assert_eq!(err, SessionError::UnboundedMeasure);
     }
 
     #[test]
-    fn invalid_lane_fails_the_group_before_running() {
+    fn invalid_lane_spec_is_rejected() {
         let spec = &suite::ipc1_client()[0];
-        let mut bad = lanes();
-        bad.push(BatchLane {
+        let stream =
+            BatchStream::materialize(spec.build_trace(), 1_000, 2_000, slack(&lanes())).unwrap();
+        let bad = BatchLane {
             spec: BtbSpec::of(OrgKind::BtbX).budget_bits(3),
             config: SimConfig::default(),
             label: "bad".into(),
-        });
-        let mut finished = 0usize;
-        let err = BatchSession::new(spec.build_trace())
-            .lanes(bad)
-            .warmup(1_000)
-            .measure(2_000)
-            .run_each(|_, _| finished += 1)
-            .unwrap_err();
+        };
+        let err = stream.run_lane(&bad).unwrap_err();
         assert!(matches!(err, SessionError::Spec(_)), "{err}");
-        assert_eq!(finished, 0, "no lane may run when any spec is invalid");
     }
 
     #[test]
@@ -435,12 +241,19 @@ mod tests {
             config: SimConfig::without_fdip(),
             label: "conv".into(),
         };
-        let batched = BatchSession::new(VecSource::new("short", instrs.clone()))
-            .lanes([lane.clone()])
-            .warmup(1_000)
-            .measure(50_000)
-            .run()
-            .unwrap();
+        let stream = BatchStream::materialize(
+            VecSource::new("short", instrs.clone()),
+            1_000,
+            50_000,
+            lookahead_slack(&lane.config),
+        )
+        .unwrap();
+        assert_eq!(
+            stream.events(),
+            3_000,
+            "the window stops where the trace ends"
+        );
+        let batched = stream.run_lane(&lane).unwrap();
         let solo = SimSession::new(VecSource::new("short", instrs))
             .btb_spec(lane.spec)
             .config(lane.config)
@@ -448,6 +261,6 @@ mod tests {
             .measure(50_000)
             .run()
             .unwrap();
-        assert_eq!(batched[0].stats, solo.stats);
+        assert_eq!(batched.stats, solo.stats);
     }
 }

@@ -58,7 +58,7 @@ pub mod session;
 pub mod sim;
 pub mod stats;
 
-pub use batch::{BatchLane, BatchSession, BatchStream};
+pub use batch::{BatchLane, BatchStream};
 pub use config::SimConfig;
 pub use parallel::{
     warm_identity, AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmEntry,
