@@ -150,11 +150,6 @@ impl LocalCluster {
         &self.addrs[i]
     }
 
-    /// One node's cache directory (for asserting fleet-wide counters).
-    pub fn node_cache_dir(&self, i: usize) -> PathBuf {
-        self.base.join(format!("node{i}")).join("cache")
-    }
-
     /// Number of nodes (killed ones included).
     pub fn len(&self) -> usize {
         self.addrs.len()

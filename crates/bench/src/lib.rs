@@ -48,9 +48,7 @@ pub mod runner;
 pub mod serve;
 pub mod store;
 pub mod sweep;
-pub mod warm;
 
 pub use opts::HarnessOpts;
 pub use store::ResultStore;
 pub use sweep::{SimPoint, Sweep};
-pub use warm::WarmCache;

@@ -45,9 +45,9 @@ pub struct HarnessOpts {
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.
     pub fault_plan: Option<PathBuf>,
-    /// Where content-addressed cache blobs (results, warm snapshots,
-    /// trace containers) live. `None` keeps today's default: a `dir://`
-    /// store under `<out>/cache`.
+    /// Where content-addressed cache blobs (results, trace containers)
+    /// live. `None` keeps today's default: a `dir://` store under
+    /// `<out>/cache`.
     pub store: Option<StoreUrl>,
 }
 
@@ -372,22 +372,6 @@ impl HarnessOpts {
     /// the sane range (see [`sane_timeout`]).
     pub fn http_timeout(&self) -> std::time::Duration {
         sane_timeout(std::time::Duration::from_millis(self.http_timeout_ms))
-    }
-
-    /// Parse from the process arguments, exiting with usage on errors (the
-    /// behaviour every binary wants at top level).
-    pub fn from_env() -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(OptError::HelpRequested) => {
-                println!("{OPTIONS_USAGE}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: {e}\n{OPTIONS_USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 }
 

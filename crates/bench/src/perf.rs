@@ -30,11 +30,9 @@
 //!
 //! Events/sec counts *measured* instructions only: the serial runs pay
 //! the full warm-up prefix, the sharded runs restore warmed
-//! microarchitectural snapshots from a per-org
-//! [`btbx_uarch::WarmLadder`] shared across repetitions and persisted
-//! via [`crate::warm::WarmCache`], so a warm repetition simulates zero
-//! warm-up instructions — the steady state of a real sweep (Table IV:
-//! budgets × orgs × FDIP over the same traces). Each mode reports the
+//! microarchitectural snapshots from a per-org in-memory
+//! [`btbx_uarch::WarmLadder`] shared across repetitions, so a warm
+//! repetition simulates zero warm-up instructions. Each mode reports the
 //! best of [`REPS`] repetitions to damp scheduler noise; for the
 //! sharded mode the best repetition is by construction a ladder-warm
 //! one.
@@ -58,7 +56,6 @@
 
 use crate::opts::HarnessOpts;
 use crate::report::write_artifact;
-use crate::warm::WarmCache;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::container::write_container;
@@ -67,7 +64,7 @@ use btbx_trace::suite::WorkloadSpec;
 use btbx_trace::{suite, AnySource, PackedFileSource};
 use btbx_uarch::batch::{lookahead_slack, BatchLane, BatchStream};
 use btbx_uarch::sim::EVENT_BLOCK_BYTES;
-use btbx_uarch::{warm_identity, AnyWarmLadder, ParallelSession, SimConfig, SimResult, SimSession};
+use btbx_uarch::{AnyWarmLadder, ParallelSession, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Instant;
@@ -335,12 +332,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
 
     let container_read = measure_container_read(opts, &workload, &proto, warmup + measure)?;
 
-    // Warm snapshots persist under the same cache root as results, and
-    // are version-stamped the same way, so a bench re-run on a warm
-    // checkout restores instead of re-simulating the warm-up.
-    let warm_cache = WarmCache::open(opts.out_dir.join("cache").join("warm"))
-        .map_err(|e| format!("opening warm cache: {e}"))?;
-
     let mut entries: Vec<BenchEntry> = Vec::new();
     for org in OrgKind::PAPER_EVAL {
         let spec = btbx_core::BtbSpec::of(org).arch(workload.params.arch);
@@ -370,18 +361,10 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         push_entry(&mut entries, org.id(), "serial", serial);
 
         eprintln!("[bench] {}: sharded ×{SHARDS}…", org.id());
-        // One warm ladder per org (snapshots embed the BTB), shared
-        // across repetitions and persisted across bench invocations: the
-        // first repetition warms it (cold, pipelined) unless the warm
-        // cache already holds this identity; the rest restore.
+        // One in-memory warm ladder per org (snapshots embed the BTB),
+        // shared across repetitions: the first repetition warms it (cold,
+        // pipelined); the rest restore.
         let warm: AnyWarmLadder = AnyWarmLadder::new();
-        let identity = warm_identity(proto.source_name(), &spec, warmup, &config);
-        let preloaded = warm_cache
-            .load(&identity, &proto, &warm)
-            .map_err(|e| format!("loading warm cache: {e}"))?;
-        if preloaded > 0 {
-            eprintln!("[bench] {}: {preloaded} warm rungs from cache", org.id());
-        }
         let proto = proto.clone();
         let sharded = best_of(|| {
             let proto = proto.clone();
@@ -409,9 +392,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
             }
         });
         push_entry(&mut entries, org.id(), "sharded", sharded);
-        if let Err(e) = warm_cache.store(&warm) {
-            eprintln!("[bench] {}: warm cache write failed ({e})", org.id());
-        }
     }
 
     // The batched sweep matrix: the paper-evaluation orgs at three

@@ -68,7 +68,7 @@ use btbx_uarch::sim::ABORT_MARKER;
 use btbx_uarch::SimResult;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -411,6 +411,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, self_addr: SocketAd
                 &format!("{{\"error\":{:?}}}", e.to_string()),
                 None,
             );
+            linger_close(&mut stream);
             return;
         }
     };
@@ -420,6 +421,29 @@ fn handle_connection(state: &ServerState, stream: TcpStream, self_addr: SocketAd
     if let Err(status) = outcome {
         state.errors.fetch_add(1, Ordering::Relaxed);
         let _ = respond_json(&mut stream, status.0, &status.1, None);
+    }
+}
+
+/// Close a connection whose request was refused before it was fully
+/// read: half-close the write side so the response goes out with a FIN,
+/// then read and discard what the client is still sending — at most
+/// [`MAX_BODY_BYTES`], within [`READ_TIMEOUT`] — until it hangs up.
+/// Closing with unread input instead makes the kernel send a reset,
+/// which can destroy the response before the client has read it.
+fn linger_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + READ_TIMEOUT;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < MAX_BODY_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
     }
 }
 
@@ -513,8 +537,8 @@ fn route(
 /// Blob keys are flat content-addressed file names: no path separators,
 /// no leading dot (dotfiles and `..` cannot be named), a conservative
 /// charset, and a bounded length. Everything a harness consumer
-/// publishes (`<workload>-<org>-<hash>.json`, `warm-<hash>.snap`,
-/// `trace-<hash>.btbt`) passes; traversal attempts do not.
+/// publishes (`<workload>-<org>-<hash>.json`, `trace-<hash>.btbt`)
+/// passes; traversal attempts do not.
 fn valid_blob_key(key: &str) -> bool {
     !key.is_empty()
         && key.len() <= 160
@@ -526,14 +550,11 @@ fn valid_blob_key(key: &str) -> bool {
 
 /// Map a blob key onto this node's cache layout, so blobs published
 /// over HTTP land exactly where local consumers write (and read) them:
-/// warm snapshots under `<cache>/warm`, trace containers under
-/// `<cache>/trace`, everything else (sweep results) at the top level.
-/// That placement is what keeps a coordinator's blob-fed cache
-/// byte-identical to a CLI run's.
+/// trace containers under `<cache>/trace`, everything else (sweep
+/// results) at the top level. That placement is what keeps a
+/// coordinator's blob-fed cache byte-identical to a CLI run's.
 fn blob_dir(cache_dir: &Path, key: &str) -> PathBuf {
-    if key.starts_with("warm-") && key.ends_with(".snap") {
-        cache_dir.join("warm")
-    } else if key.starts_with("trace-") && key.ends_with(".btbt") {
+    if key.starts_with("trace-") && key.ends_with(".btbt") {
         cache_dir.join("trace")
     } else {
         cache_dir.to_path_buf()
@@ -607,7 +628,7 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
             // Resolve inside the compute closure: cache hits and joins
             // never need the trace bytes at all.
             let point = resolve_trace(state, point);
-            point.run_sharded_abortable(state.shards, state.shard_threads, None, abort.clone())
+            point.run_sharded_abortable(state.shards, state.shard_threads, abort.clone())
         })
     }));
     match outcome {

@@ -2,14 +2,13 @@
 //! trait.
 //!
 //! Every durable artifact the harness produces — sweep results
-//! (`<workload>-<org>-<hash>.json`), sealed warm-ladder snapshots
-//! (`warm-<hash>.snap`) and `.btbt` trace containers
+//! (`<workload>-<org>-<hash>.json`) and `.btbt` trace containers
 //! (`trace-<hash>.btbt`) — is a *content-addressed blob*: its name is
 //! derived from a hash of everything that determines its bytes. That
 //! makes the storage layer swappable: any backend that can `get`/`put`/
 //! `has` blobs by name, publish atomically, and distinguish *absent*
-//! from *damaged* can sit behind [`super::ResultStore`],
-//! [`crate::warm::WarmCache`] and the serve node's trace resolution.
+//! from *damaged* can sit behind [`super::ResultStore`] and the serve
+//! node's trace resolution.
 //!
 //! Backends are selected by URL scheme ([`crate::opts::StoreUrl`]):
 //!
@@ -104,9 +103,8 @@ pub enum Quarantine {
 }
 
 /// Monotonic counters for a backend's remote traffic, shared by every
-/// consumer wired to the same remote (results, warm snapshots, trace
-/// fetches), and surfaced through [`super::StoreCounters`] /
-/// `GET /stats`.
+/// consumer wired to the same remote (results and trace fetches), and
+/// surfaced through [`super::StoreCounters`] / `GET /stats`.
 #[derive(Debug, Default)]
 pub struct RemoteCounters {
     /// Blobs served by the remote (`GET /blob` → 200).
@@ -127,8 +125,8 @@ pub struct RemoteCounters {
 /// write or rename removes the temp file so no litter survives.
 ///
 /// This is the one publish implementation behind every local store
-/// consumer ([`super::ResultStore`], [`crate::warm::WarmCache`], the
-/// serve node's blob endpoint and trace spool).
+/// consumer ([`super::ResultStore`], the serve node's blob endpoint and
+/// trace spool).
 ///
 /// # Errors
 ///
@@ -338,8 +336,8 @@ impl HttpStore {
     }
 
     /// A store over `addr` sharing `counters` with other consumers
-    /// (a serve node aggregates result, warm and trace traffic on one
-    /// counter set).
+    /// (a serve node aggregates result and trace traffic on one counter
+    /// set).
     pub fn with_counters(addr: &str, timeout: Duration, counters: Arc<RemoteCounters>) -> Self {
         HttpStore {
             addr: addr
@@ -548,7 +546,7 @@ pub fn open_store(
 }
 
 /// [`open_store`] with a caller-supplied counter set, so every consumer
-/// a node wires to one remote (results, warm snapshots, traces) reports
+/// a node wires to one remote (results, traces) reports
 /// through one [`RemoteCounters`].
 ///
 /// # Errors

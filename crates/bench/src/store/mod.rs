@@ -36,9 +36,9 @@
 //!
 //! # Backends
 //!
-//! The byte storage itself is pluggable: [`ResultStore`] (and
-//! [`crate::warm::WarmCache`], and the serve node's trace resolution)
-//! sit on the [`Store`] trait from [`backend`], selected by URL scheme
+//! The byte storage itself is pluggable: [`ResultStore`] (and the
+//! serve node's trace resolution) sit on the [`Store`] trait from
+//! [`backend`], selected by URL scheme
 //! (`dir://` — the default local layout, `mem://`, `http://` — a peer
 //! serve node's blob endpoints, `tiered://` — a local dir in front of a
 //! remote). Every guarantee above is backend-independent; `dir://` is
@@ -153,7 +153,7 @@ pub struct StoreCounters {
     pub store_failures: u64,
     /// Blobs served by a remote backend (`http://`/`tiered://` only;
     /// aggregated across every consumer sharing the backend's
-    /// [`RemoteCounters`] — results, warm snapshots, trace fetches).
+    /// [`RemoteCounters`] — results and trace fetches).
     #[serde(default)]
     pub remote_hits: u64,
     /// Blobs a remote backend did not have (404).

@@ -47,7 +47,7 @@ use btbx_core::spec::{BtbSpec, Budget};
 use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
 use btbx_uarch::batch::{lookahead_slack, BatchLane, BatchStream};
-use btbx_uarch::{AnyWarmLadder, ParallelSession, SimConfig, SimResult, SimSession};
+use btbx_uarch::{ParallelSession, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -170,31 +170,16 @@ impl SimPoint {
     /// (SimPoint::run) for any workload. `shards <= 1` falls back to the
     /// serial path. See EXPERIMENTS.md, "Interval sharding".
     pub fn run_sharded(&self, shards: usize, threads: usize) -> SimResult {
-        self.run_sharded_with(shards, threads, None)
+        self.run_sharded_abortable(shards, threads, None)
     }
 
-    /// [`run_sharded`](SimPoint::run_sharded) with an optional shared
-    /// [`AnyWarmLadder`]: a warm ladder reused across runs of the same
-    /// point restores warmed microarchitectural state at every shard
-    /// boundary in O(state), so re-runs skip the warm-up prefix entirely
-    /// and parallelize fully.
-    pub fn run_sharded_with(
-        &self,
-        shards: usize,
-        threads: usize,
-        warm: Option<&AnyWarmLadder>,
-    ) -> SimResult {
-        self.run_sharded_abortable(shards, threads, warm, None)
-    }
-
-    /// [`run_sharded_with`](SimPoint::run_sharded_with) plus an optional
+    /// [`run_sharded`](SimPoint::run_sharded) plus an optional
     /// cooperative abort flag threaded into every shard (and the serial
     /// fallback), so a deadline can stop a runaway simulation mid-run.
     pub fn run_sharded_abortable(
         &self,
         shards: usize,
         threads: usize,
-        warm: Option<&AnyWarmLadder>,
         abort: Option<Arc<AtomicBool>>,
     ) -> SimResult {
         if shards <= 1 {
@@ -212,9 +197,6 @@ impl SimPoint {
             .measure(self.measure)
             .shards(shards)
             .threads(threads);
-        if let Some(warm) = warm {
-            session = session.warm_ladder(warm);
-        }
         if let Some(flag) = abort {
             session = session.abort(flag);
         }

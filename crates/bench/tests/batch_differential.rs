@@ -11,7 +11,7 @@ use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
-use btbx_uarch::{AnyWarmLadder, SimResult};
+use btbx_uarch::{AnyWarmLadder, ParallelSession, SimResult};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -126,10 +126,10 @@ fn sharded_batched_sweep_matches_serial_unbatched_bytes() {
     let _ = fs::remove_dir_all(&serial_dir);
 }
 
-/// Warm-ladder reuse next to batching: the serve layer restores warmed
-/// microarchitectural state from an [`AnyWarmLadder`] across repeat
-/// runs; those restored runs must agree exactly with what a batched
-/// sweep published for the same points.
+/// Warm-ladder reuse next to batching: a [`ParallelSession`] run that
+/// restores warmed microarchitectural state from an [`AnyWarmLadder`]
+/// populated by an earlier run of the same point must agree exactly
+/// with what a batched sweep published for that point.
 #[test]
 fn warm_ladder_reuse_stays_bit_identical_alongside_batching() {
     let sweep = Sweep::named("diff-warm")
@@ -142,9 +142,23 @@ fn warm_ladder_reuse_stays_bit_identical_alongside_batching() {
     let batched = sweep.run(&opts(&dir));
     for (point, expected) in sweep.points().iter().zip(&batched) {
         let ladder = AnyWarmLadder::new();
-        let populate = point.run_sharded_with(3, 2, Some(&ladder));
+        let run = || {
+            let proto = point.workload.build_source().unwrap();
+            ParallelSession::new(move || proto.clone(), point.btb_spec())
+                .config(point.config.clone())
+                .label(point.org.id())
+                .warmup(point.warmup)
+                .measure(point.measure)
+                .shards(3)
+                .threads(2)
+                .warm_ladder(&ladder)
+                .run()
+                .unwrap()
+                .result
+        };
+        let populate = run();
         assert!(!ladder.is_empty(), "populate run must fill the ladder");
-        let reuse = point.run_sharded_with(3, 2, Some(&ladder));
+        let reuse = run();
         assert_eq!(&populate, expected, "ladder-populating run diverges");
         assert_eq!(&reuse, expected, "warm-restored run diverges");
     }

@@ -8,14 +8,12 @@
 
 use btbx_bench::faults::{self, ErrKind, FaultOp, FaultPlan, FaultRule};
 use btbx_bench::store::{ResultStore, StoreError};
-use btbx_bench::warm::WarmCache;
 use btbx_bench::{HarnessOpts, Sweep};
-use btbx_core::spec::BtbSpec;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
 use btbx_uarch::stats::SimStats;
-use btbx_uarch::{AnyWarmLadder, ParallelSession, SimConfig, SimResult};
+use btbx_uarch::SimResult;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -326,87 +324,5 @@ fn quarantine_counters_are_exact_when_the_quarantine_rename_is_injected() {
     assert_eq!(store.counters().quarantined, 1, "exactly one quarantine");
     assert!(cache.join("a.json.corrupt").exists());
     assert!(!cache.join("a.json").exists());
-    let _ = fs::remove_dir_all(&out);
-}
-
-#[test]
-fn warm_cache_surfaces_injected_publish_failures_without_litter() {
-    // Build a small real ladder (the warm cache refuses to persist an
-    // empty one).
-    let workload = suite::ipc1_client().into_iter().next().unwrap();
-    let proto = workload.build_source().unwrap();
-    let ladder = AnyWarmLadder::new();
-    {
-        let proto = proto.clone();
-        ParallelSession::new(move || proto.clone(), BtbSpec::of(OrgKind::Conv))
-            .config(SimConfig::without_fdip())
-            .warmup(4_000)
-            .measure(12_000)
-            .shards(3)
-            .warm_ladder(&ladder)
-            .run()
-            .unwrap();
-    }
-    assert!(!ladder.is_empty());
-
-    let _serial = fault_lock();
-    let out = scratch("fault-warm");
-    let warm_dir = out.join("cache").join("warm");
-    let cache = WarmCache::open(&warm_dir).unwrap();
-
-    // ENOSPC on the temp write: loud failure, no half-written snapshot.
-    let guard = faults::arm(FaultPlan {
-        seed: 4,
-        rules: vec![rule(
-            FaultOp::Write,
-            ErrKind::Enospc,
-            "btbx-conc-fault-warm",
-            1,
-            1,
-        )],
-    });
-    let err = cache.store(&ladder).unwrap_err();
-    match &err {
-        StoreError::Io { source, .. } => {
-            assert_eq!(source.kind(), io::ErrorKind::StorageFull, "{err}");
-        }
-        other => panic!("expected Io, got {other}"),
-    }
-    assert_eq!(dir_names(&warm_dir), Vec::<String>::new(), "no litter");
-    drop(guard);
-
-    // A clean publish, then an injected rename failure on the replace:
-    // the previous complete file survives and no temp file lingers.
-    let stored = cache.store(&ladder).unwrap();
-    assert_eq!(stored, ladder.len());
-    let published = dir_names(&warm_dir);
-    assert_eq!(published.len(), 1, "one complete snapshot file");
-
-    let guard = faults::arm(FaultPlan {
-        seed: 5,
-        rules: vec![rule(
-            FaultOp::Rename,
-            ErrKind::RenameFail,
-            "btbx-conc-fault-warm",
-            1,
-            1,
-        )],
-    });
-    let err = cache.store(&ladder).unwrap_err();
-    match &err {
-        StoreError::Io { action, .. } => assert_eq!(*action, "publishing store entry"),
-        other => panic!("expected Io, got {other}"),
-    }
-    drop(guard);
-    assert_eq!(
-        dir_names(&warm_dir),
-        published,
-        "the complete file survives, the failed replace leaves no temp"
-    );
-    // The surviving file still loads.
-    let fresh = AnyWarmLadder::new();
-    let identity = ladder.identity().unwrap();
-    let loaded = cache.load(&identity, &proto, &fresh).unwrap();
-    assert_eq!(loaded, stored);
     let _ = fs::remove_dir_all(&out);
 }

@@ -12,10 +12,8 @@
 //! (`btbx_uarch::AnyWarmLadder`) for them all.
 //!
 //! [`AnySource::open`] sniffs the file kind by magic: `BTBT` means a
-//! packed container; anything else whose length is a whole number of
-//! 64-byte records is treated as a raw ChampSim trace (the `BTBX` codec
-//! magic is recognized and redirected — varint streams have no random
-//! access, so they must be converted first).
+//! packed container; anything else is parsed as a raw ChampSim trace,
+//! which must be a whole number of 64-byte records.
 
 use crate::champsim::{ChampSimCheckpoint, ChampSimError, ChampSimFileSource};
 use crate::container::{ContainerError, FileCheckpoint, PackedFileSource};
@@ -56,9 +54,6 @@ pub enum AnyCheckpoint {
 pub enum TraceOpenError {
     /// An I/O failure while sniffing or opening.
     Io(std::io::Error),
-    /// The file is a varint `BTBX` codec stream, which has no random
-    /// access; convert it to a `.btbt` container first.
-    CodecNotSeekable,
     /// A `.btbt` container that failed to open or validate.
     Container(ContainerError),
     /// A ChampSim file that failed to open (typically a truncated tail).
@@ -69,11 +64,6 @@ impl std::fmt::Display for TraceOpenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceOpenError::Io(e) => write!(f, "opening trace: {e}"),
-            TraceOpenError::CodecNotSeekable => write!(
-                f,
-                "BTBX codec streams are not seekable; convert to a .btbt \
-                 container first (btbx trace convert)"
-            ),
             TraceOpenError::Container(e) => write!(f, "{e}"),
             TraceOpenError::ChampSim(e) => write!(f, "{e}"),
         }
@@ -90,13 +80,12 @@ impl From<std::io::Error> for TraceOpenError {
 
 impl AnySource {
     /// Open a trace file, sniffing its kind by magic bytes: `.btbt`
-    /// containers and raw ChampSim traces are accepted; varint codec
-    /// streams are rejected with a conversion hint.
+    /// containers and raw ChampSim traces are accepted.
     ///
     /// # Errors
     ///
-    /// [`TraceOpenError`] when the file is unreadable, unseekable by
-    /// design, or structurally invalid for its detected kind.
+    /// [`TraceOpenError`] when the file is unreadable or structurally
+    /// invalid for its detected kind.
     pub fn open(path: impl AsRef<Path>) -> Result<AnySource, TraceOpenError> {
         let path = path.as_ref();
         let mut magic = [0u8; 4];
@@ -105,9 +94,6 @@ impl AnySource {
             return PackedFileSource::open(path)
                 .map(AnySource::Packed)
                 .map_err(TraceOpenError::Container);
-        }
-        if n >= 4 && &magic == crate::codec::MAGIC {
-            return Err(TraceOpenError::CodecNotSeekable);
         }
         ChampSimFileSource::open(path)
             .map(AnySource::ChampSim)
@@ -260,14 +246,16 @@ mod tests {
         assert!(matches!(opened, AnySource::ChampSim(_)));
         assert_eq!(opened.len_instrs(), Some(500));
 
-        let codec = temp_path("sniff.codec");
-        std::fs::write(&codec, b"BTBX rest does not matter").unwrap();
+        // Any other magic is parsed as ChampSim; these 25 bytes are a
+        // partial record, which is a typed error, never a panic.
+        let other = temp_path("sniff.btbx");
+        std::fs::write(&other, b"BTBX rest does not matter").unwrap();
         assert!(matches!(
-            AnySource::open(&codec),
-            Err(TraceOpenError::CodecNotSeekable)
+            AnySource::open(&other),
+            Err(TraceOpenError::ChampSim(_))
         ));
 
-        for p in [btbt, champ, codec] {
+        for p in [btbt, champ, other] {
             let _ = std::fs::remove_file(&p);
         }
         assert!(matches!(

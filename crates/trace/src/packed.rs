@@ -191,14 +191,6 @@ impl PackedBuf {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Collect up to `max` instructions from `source` into a fresh
-    /// buffer.
-    pub fn collect_from<S: TraceSource>(source: &mut S, max: usize) -> Self {
-        let mut buf = PackedBuf::with_capacity(max.min(1 << 20));
-        source.fill_block(&mut buf, max);
-        buf
-    }
-
     /// Append events `start..end` of `src` to this buffer: a column
     /// memcpy when `src` has no escaped records (the universal case —
     /// every in-repo workload packs), element-wise otherwise so escape

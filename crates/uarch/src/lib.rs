@@ -61,8 +61,7 @@ pub mod stats;
 pub use batch::{BatchLane, BatchStream};
 pub use config::SimConfig;
 pub use parallel::{
-    warm_identity, AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmEntry,
-    WarmLadder,
+    AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmLadder,
 };
 pub use session::{IntervalStats, SessionError, SimSession};
 pub use sim::{simulate, Simulator};

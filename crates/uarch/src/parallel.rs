@@ -30,9 +30,9 @@
 //! shard — still O(shards), never O(window)).
 //!
 //! A cold run pipelines shards hand-to-hand. Re-runs through a shared warm
-//! ladder ([`ParallelSession::warm_ladder`]: a repeated bench, a sweep
-//! repetition, a persisted warm cache) restore every boundary immediately
-//! and execute fully in parallel.
+//! ladder ([`ParallelSession::warm_ladder`], as `btbx bench` keeps across
+//! its repetitions) restore every boundary immediately and execute fully
+//! in parallel.
 //!
 //! # Determinism and serial equivalence
 //!
@@ -69,8 +69,12 @@ pub type AnyWarmLadder = WarmLadder<btbx_trace::AnyCheckpoint>;
 /// snapshots are sealed under: workload stream, BTB organization and
 /// budget, warm-up length, and the full simulator configuration
 /// (fingerprinted via its `Debug` form, which covers every field).
-/// Persistence layers key warm-cache files by this string.
-pub fn warm_identity(source_name: &str, spec: &BtbSpec, warmup: u64, config: &SimConfig) -> String {
+pub(crate) fn warm_identity(
+    source_name: &str,
+    spec: &BtbSpec,
+    warmup: u64,
+    config: &SimConfig,
+) -> String {
     format!(
         "{}|{}|{}b|warm{}|{:?}",
         source_name,
@@ -86,22 +90,17 @@ pub fn warm_identity(source_name: &str, spec: &BtbSpec, warmup: u64, config: &Si
 /// moment (the first tick boundary at or past the rung's nominal
 /// instruction count).
 #[derive(Debug, Clone)]
-pub struct WarmEntry<C> {
+pub(crate) struct WarmEntry<C> {
     /// Trace-source state at the snapshot moment (the source sits ahead
     /// of commit by the in-flight instructions the snapshot carries).
-    pub checkpoint: C,
+    checkpoint: C,
     /// Sealed simulator state ([`btbx_core::snap::save_sealed`] bytes),
-    /// shared cheaply between the ladder and persistence layers.
-    pub snapshot: Arc<Vec<u8>>,
+    /// shared cheaply between the ladder and the shards restoring it.
+    snapshot: Arc<Vec<u8>>,
     /// Actual committed count at the end of warm-up (`W′ ≥ warmup`,
     /// overshooting by less than the commit width). All chunk targets are
     /// `base + i·chunk`, so every restorer continues the same trajectory.
-    pub base: u64,
-    /// Actual committed count at the snapshot moment.
-    pub committed: u64,
-    /// Trace-source position at the snapshot moment (lets persistence
-    /// re-derive `checkpoint` from a fresh source via `seek`).
-    pub position: u64,
+    base: u64,
 }
 
 #[derive(Debug)]
@@ -167,13 +166,8 @@ impl<C: Clone> WarmLadder<C> {
         }
     }
 
-    /// The bound identity, if any (persistence keys cache files by it).
-    pub fn identity(&self) -> Option<String> {
-        self.identity.lock().unwrap().clone()
-    }
-
     /// The entry at nominal key `key`, if already published.
-    pub fn get(&self, key: u64) -> Option<WarmEntry<C>> {
+    pub(crate) fn get(&self, key: u64) -> Option<WarmEntry<C>> {
         self.state.lock().unwrap().slots.get(&key).cloned()
     }
 
@@ -183,7 +177,7 @@ impl<C: Clone> WarmLadder<C> {
     ///
     /// Panics when the ladder is poisoned — the producing shard died, so
     /// waiting would hang forever.
-    pub fn wait(&self, key: u64) -> WarmEntry<C> {
+    pub(crate) fn wait(&self, key: u64) -> WarmEntry<C> {
         let mut state = self.state.lock().unwrap();
         loop {
             assert!(
@@ -199,7 +193,7 @@ impl<C: Clone> WarmLadder<C> {
 
     /// Store the entry at `key` (first publish wins; capacity-capped) and
     /// wake every waiter.
-    pub fn publish(&self, key: u64, entry: WarmEntry<C>) {
+    pub(crate) fn publish(&self, key: u64, entry: WarmEntry<C>) {
         let mut state = self.state.lock().unwrap();
         if state.slots.len() < LADDER_CAPACITY {
             state.slots.entry(key).or_insert(entry);
@@ -213,12 +207,6 @@ impl<C: Clone> WarmLadder<C> {
     pub fn poison(&self) {
         self.state.lock().unwrap().poisoned = true;
         self.ready.notify_all();
-    }
-
-    /// All entries in key order (persistence walks these).
-    pub fn entries(&self) -> Vec<(u64, WarmEntry<C>)> {
-        let state = self.state.lock().unwrap();
-        state.slots.iter().map(|(k, e)| (*k, e.clone())).collect()
     }
 
     /// Number of entries held.
@@ -557,8 +545,6 @@ where
                                     checkpoint: sim.trace().checkpoint(),
                                     snapshot: bytes,
                                     base,
-                                    committed: sim.committed(),
-                                    position: sim.trace().position(),
                                 },
                             );
                             (sim, base)
@@ -607,8 +593,6 @@ where
                                     checkpoint: sim.trace().checkpoint(),
                                     snapshot: bytes,
                                     base,
-                                    committed: sim.committed(),
-                                    position: sim.trace().position(),
                                 },
                             );
                         }

@@ -321,15 +321,10 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         self.committed
     }
 
-    /// Borrow the trace source (sharded runs record the source
-    /// position alongside a microarchitectural snapshot).
+    /// Borrow the trace source (sharded runs checkpoint the source
+    /// alongside a microarchitectural snapshot).
     pub fn trace(&self) -> &S {
         &self.trace
-    }
-
-    /// Mutable trace source access.
-    pub fn trace_mut(&mut self) -> &mut S {
-        &mut self.trace
     }
 
     /// Pop the next trace event from the staging block, refilling it from
