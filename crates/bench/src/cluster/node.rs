@@ -24,6 +24,9 @@
 //! * Any successful request makes the node fully *healthy* again.
 //! * A dead node whose prober gives up is *retired* for the rest of the
 //!   sweep; retirement is sticky, whatever its state does afterwards.
+//! * At the end of a sweep, a node that failed a request and still
+//!   serves is probed once; if the probe is refused it is *dead*,
+//!   whatever state its last requests left it in.
 //!
 //! The tracker also counts completed/failed requests for the end-of-run
 //! fleet summary.
@@ -136,6 +139,13 @@ impl NodeTracker {
         t.state
     }
 
+    /// The end-of-sweep probe of a node that failed during the sweep
+    /// was refused: the node is unreachable, so it ends dead even if a
+    /// request drained after its failure left it healthy.
+    pub fn record_lost(&self) {
+        self.inner.lock().unwrap().state = NodeState::Dead;
+    }
+
     /// A `/healthz` probe of a dead node succeeded: re-admit on
     /// probation.
     pub fn record_probe_success(&self) {
@@ -189,6 +199,15 @@ mod tests {
         assert!(t.state().serves(), "a suspect node keeps serving");
         assert_eq!(t.record_failure(), NodeState::Dead);
         assert!(!t.state().serves());
+    }
+
+    #[test]
+    fn a_lost_node_is_dead_whatever_its_state() {
+        for start in [NodeState::Healthy, NodeState::Suspect, NodeState::Probation] {
+            let t = NodeTracker::new("n:1", start);
+            t.record_lost();
+            assert_eq!(t.state(), NodeState::Dead);
+        }
     }
 
     #[test]

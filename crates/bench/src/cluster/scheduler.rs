@@ -24,9 +24,12 @@
 //! node restarted with a different [`crate::sweep::CACHE_VERSION`] is
 //! not let back in); after `probe_give_up` consecutive failed probes
 //! the node is retired for good and all its lanes leave, even if a
-//! request still in flight there succeeds afterwards. Deterministic
-//! rejections (HTTP 4xx) fail the point immediately — retrying a
-//! malformed point on every node cannot help.
+//! request still in flight there succeeds afterwards. When the sweep
+//! ends, every node that failed a request and still serves gets one
+//! `/healthz` probe, and a refused probe makes it dead: the fleet
+//! summary does not depend on how its last requests raced the drain.
+//! Deterministic rejections (HTTP 4xx) fail the point immediately —
+//! retrying a malformed point on every node cannot help.
 //!
 //! A `429` is back-pressure, not failure: the node *chose* to shed the
 //! request (`--max-inflight`), so the point is requeued with a short
@@ -610,6 +613,8 @@ pub fn run_sweep_observed(
         }
     });
 
+    settle_failed_nodes(&trackers, config, observer);
+
     let st = queue.state.into_inner().unwrap();
     if let Some(fatal) = st.fatal {
         return Err(fatal);
@@ -632,6 +637,31 @@ pub fn run_sweep_observed(
         nodes,
         stats: st.stats,
     })
+}
+
+/// Give every node that failed a request during the sweep and still
+/// serves one `/healthz` probe, and settle a refused probe with
+/// [`NodeTracker::record_lost`]. A node killed near the end of a sweep
+/// may have failed only once before the queue drained, or had a
+/// request drained successfully after its failure; without the probe
+/// its final state would depend on that race.
+fn settle_failed_nodes(
+    trackers: &[NodeTracker],
+    config: &ClusterConfig,
+    observer: &(dyn Fn(ClusterEvent) + Sync),
+) {
+    for tracker in trackers {
+        let summary = tracker.summary();
+        if summary.failures > 0
+            && summary.state.serves()
+            && protocol::probe_health(tracker.addr(), config.probe_timeout).is_err()
+        {
+            tracker.record_lost();
+            observer(ClusterEvent::NodeDied {
+                node: tracker.addr().to_string(),
+            });
+        }
+    }
 }
 
 /// Best-effort upload of every distinct trace container referenced by

@@ -494,12 +494,17 @@ fn route(
                 );
                 return Ok(());
             };
-            let point: SimPoint = serde_json::from_slice(&request.body).map_err(|e| {
-                (
-                    400,
-                    format!("{{\"error\":{:?}}}", format!("bad SimPoint: {e}")),
-                )
-            })?;
+            // A geometry the simulator cannot build is the client's
+            // error too, answered before any allocation is sized from it.
+            let point = serde_json::from_slice::<SimPoint>(&request.body)
+                .map_err(|e| e.to_string())
+                .and_then(|p| p.config.validate().map(|()| p).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    (
+                        400,
+                        format!("{{\"error\":{:?}}}", format!("bad SimPoint: {e}")),
+                    )
+                })?;
             let (result, fetch) = simulate(state, &point)
                 .map_err(|(status, msg)| (status, format!("{{\"error\":{msg:?}}}")))?;
             if fetch == Fetch::Disk {

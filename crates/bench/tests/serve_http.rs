@@ -301,6 +301,32 @@ fn deeply_nested_body_is_rejected_and_the_server_survives() {
     let _ = fs::remove_dir_all(&out);
 }
 
+#[test]
+fn hostile_cache_geometries_are_rejected_and_the_server_survives() {
+    // A 2^44-byte LLC used to abort the process on allocation failure,
+    // and a zero-way L1-I answered 500 from a division by zero.
+    let (server, out) = start("geometry", 1);
+    let addr = server.addr().to_string();
+    let point = two_point_sweep().points().remove(0);
+    let mut huge_llc = point.clone();
+    huge_llc.config.llc.bytes = 1 << 44;
+    let mut zero_ways = point;
+    zero_ways.config.l1i.ways = 0;
+    for (field, point) in [("llc.bytes", huge_llc), ("l1i.ways", zero_ways)] {
+        let body = serde_json::to_string(&point).unwrap();
+        let answer = http_request(&addr, "POST", "/sim", &body).unwrap();
+        assert_eq!(answer.status, 400, "{field}: {}", answer.body);
+        assert!(answer.body.contains(field), "{}", answer.body);
+    }
+
+    let health = http_request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&out);
+}
+
 /// Send `head` raw and return whatever the server answers. Write errors
 /// are ignored: the server refuses after reading a bounded prefix and
 /// closes, so the rest of an oversized head may meet a reset.

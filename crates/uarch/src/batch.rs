@@ -133,8 +133,10 @@ impl BatchStream {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Spec`] when the lane's spec does not validate.
+    /// [`SessionError::Spec`] when the lane's spec does not validate and
+    /// [`SessionError::Config`] when its configuration does not.
     pub fn run_lane(&self, lane: &BatchLane) -> Result<SimResult, SessionError> {
+        lane.config.validate()?;
         Ok(session::run_with(
             lane.spec.build_engine()?,
             lane.label.clone(),

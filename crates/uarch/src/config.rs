@@ -118,7 +118,114 @@ impl Default for SimConfig {
     }
 }
 
+/// Largest capacity of one cache level: 32× Table II's LLC.
+const MAX_CACHE_BYTES: usize = 64 << 20;
+/// Most MSHRs one cache level may have (Table II's LLC has 64).
+const MAX_MSHRS: usize = 256;
+/// Most FTQ, ROB or RAS entries (Table II's ROB has 352).
+const MAX_QUEUE_ENTRIES: usize = 4096;
+/// Widest fetch, prediction or commit stage (Table II's fetch is 6 wide).
+const MAX_WIDTH: u32 = 64;
+
+/// Why a [`SimConfig`] cannot be simulated: the offending field and the
+/// rule it breaks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Dotted field path, e.g. `llc.ways`.
+    pub field: String,
+    /// What the field must satisfy, with the value it had.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "config.{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+fn bounded(field: &str, value: u64, lo: u64, hi: u64) -> Result<(), ConfigError> {
+    if (lo..=hi).contains(&value) {
+        Ok(())
+    } else {
+        Err(ConfigError {
+            field: field.to_string(),
+            reason: format!("{value} is outside {lo}..={hi}"),
+        })
+    }
+}
+
+impl CacheParams {
+    /// Check this level's geometry (ways in 1..=64, bytes in 64..=64 MiB,
+    /// MSHRs in 1..=256, a power-of-two set count); `level` names it in
+    /// the error.
+    fn validate(&self, level: &str) -> Result<(), ConfigError> {
+        bounded(&format!("{level}.ways"), self.ways as u64, 1, 64)?;
+        bounded(
+            &format!("{level}.bytes"),
+            self.bytes as u64,
+            64,
+            MAX_CACHE_BYTES as u64,
+        )?;
+        bounded(
+            &format!("{level}.mshrs"),
+            self.mshrs as u64,
+            1,
+            MAX_MSHRS as u64,
+        )?;
+        let sets = self.sets();
+        if !sets.is_power_of_two() {
+            return Err(ConfigError {
+                field: format!("{level}.bytes"),
+                reason: format!(
+                    "{} bytes / 64-byte blocks / {} ways gives {sets} sets, not a power of two",
+                    self.bytes, self.ways
+                ),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl SimConfig {
+    /// Check that this configuration can be simulated: every cache level
+    /// has 1..=64 ways, 64 B..=64 MiB, 1..=256 MSHRs and a power-of-two
+    /// set count; the FTQ, ROB and RAS hold 1..=4096 entries; every width
+    /// is in 1..=64. Sessions call it before building anything, so a
+    /// hostile configuration is an error, never an allocation failure or
+    /// a panic.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("fetch_width", self.fetch_width),
+            ("bpu_width", self.bpu_width),
+            ("bpu_taken_per_cycle", self.bpu_taken_per_cycle),
+            ("commit_width", self.commit_width),
+        ] {
+            bounded(field, value as u64, 1, MAX_WIDTH as u64)?;
+        }
+        for (field, value) in [
+            ("ftq_entries", self.ftq_entries),
+            ("rob_entries", self.rob_entries),
+            ("ras_entries", self.ras_entries),
+        ] {
+            bounded(field, value as u64, 1, MAX_QUEUE_ENTRIES as u64)?;
+        }
+        for (level, params) in [
+            ("l1i", &self.l1i),
+            ("l1d", &self.l1d),
+            ("l2", &self.l2),
+            ("llc", &self.llc),
+        ] {
+            params.validate(level)?;
+        }
+        Ok(())
+    }
+
     /// Table II configuration with FDIP enabled.
     pub fn with_fdip() -> Self {
         SimConfig::default()
@@ -164,6 +271,33 @@ mod tests {
         assert_eq!(c.l1d.sets(), 64);
         assert_eq!(c.l2.sets(), 1024);
         assert_eq!(c.llc.sets(), 2048);
+    }
+
+    #[test]
+    fn table_ii_configurations_validate() {
+        assert_eq!(SimConfig::with_fdip().validate(), Ok(()));
+        assert_eq!(SimConfig::without_fdip().validate(), Ok(()));
+    }
+
+    #[test]
+    fn hostile_geometries_are_rejected() {
+        type Edit = fn(&mut SimConfig);
+        let cases: [(&str, Edit); 8] = [
+            ("llc.bytes", |c| c.llc.bytes = 1 << 44),
+            ("l1i.ways", |c| c.l1i.ways = 0),
+            ("l2.ways", |c| c.l2.ways = 65),
+            ("l1d.bytes", |c| c.l1d.bytes = 40 * 1024),
+            ("llc.mshrs", |c| c.llc.mshrs = 0),
+            ("rob_entries", |c| c.rob_entries = 1 << 40),
+            ("ftq_entries", |c| c.ftq_entries = 0),
+            ("commit_width", |c| c.commit_width = 0),
+        ];
+        for (field, break_it) in cases {
+            let mut c = SimConfig::default();
+            break_it(&mut c);
+            let err = c.validate().expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+        }
     }
 
     #[test]

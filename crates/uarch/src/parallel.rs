@@ -408,12 +408,14 @@ where
     ///
     /// # Errors
     ///
-    /// [`SessionError::Spec`] when the BTB spec does not validate and
+    /// [`SessionError::Spec`] when the BTB spec does not validate,
+    /// [`SessionError::Config`] when the configuration does not, and
     /// [`SessionError::UnboundedMeasure`] when more than one shard is
     /// requested without a finite [`measure`](Self::measure) window.
     pub fn run(self) -> Result<ParallelOutcome, SessionError> {
         let setup_started = Instant::now();
         self.spec.validate().map_err(SessionError::Spec)?;
+        self.config.validate()?;
         if self.measure == u64::MAX && self.shards > 1 {
             return Err(SessionError::UnboundedMeasure);
         }

@@ -26,7 +26,7 @@
 //! ```
 
 use crate::bpu::{Bpu, BpuStats};
-use crate::config::SimConfig;
+use crate::config::{ConfigError, SimConfig};
 use crate::sim::Simulator;
 use crate::stats::SimResult;
 use btbx_core::spec::{BtbSpec, SpecError};
@@ -88,6 +88,8 @@ pub enum SessionError {
     NoBtb,
     /// The configured [`BtbSpec`] does not validate.
     Spec(SpecError),
+    /// The [`SimConfig`] does not validate ([`SimConfig::validate`]).
+    Config(ConfigError),
     /// A sharded session needs a finite measurement window to split.
     UnboundedMeasure,
 }
@@ -99,6 +101,7 @@ impl std::fmt::Display for SessionError {
                 write!(f, "session has no BTB: call .btb(...) or .btb_spec(...)")
             }
             SessionError::Spec(e) => write!(f, "invalid BTB spec: {e}"),
+            SessionError::Config(e) => write!(f, "invalid sim config: {e}"),
             SessionError::UnboundedMeasure => {
                 write!(
                     f,
@@ -114,6 +117,12 @@ impl std::error::Error for SessionError {}
 impl From<SpecError> for SessionError {
     fn from(e: SpecError) -> Self {
         SessionError::Spec(e)
+    }
+}
+
+impl From<ConfigError> for SessionError {
+    fn from(e: ConfigError) -> Self {
+        SessionError::Config(e)
     }
 }
 
@@ -250,9 +259,11 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::NoBtb`] when no BTB was configured and
-    /// [`SessionError::Spec`] when the configured spec does not validate.
+    /// [`SessionError::NoBtb`] when no BTB was configured,
+    /// [`SessionError::Config`] when the configuration does not validate
+    /// and [`SessionError::Spec`] when the configured spec does not.
     pub fn run(self) -> Result<SimResult, SessionError> {
+        self.config.validate()?;
         match self.btb {
             BtbSource::None => Err(SessionError::NoBtb),
             BtbSource::Instance {
@@ -358,6 +369,19 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SessionError::Spec(_)), "{err}");
+    }
+
+    #[test]
+    fn invalid_config_surfaces_as_session_error() {
+        let mut config = SimConfig::default();
+        config.llc.bytes = 1 << 44;
+        let err = SimSession::new(straight_line(100))
+            .btb_spec(BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8))
+            .config(config)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, SessionError::Config(_)), "{err}");
+        assert!(err.to_string().contains("llc.bytes"), "{err}");
     }
 
     #[test]
