@@ -7,29 +7,6 @@
 //! serves all), and a full MSHR file back-pressures demand accesses —
 //! both first-order effects for FDIP, which keeps many instruction misses
 //! in flight (Table II gives the L1-I just 8 MSHRs).
-//!
-//! # Layout
-//!
-//! Every probe runs this code, so its data is laid out for it:
-//!
-//! - **Flat tags.** One `Vec<u64>` holds every set back to back: the
-//!   set's `ways` tags (block addresses, `u64::MAX` when invalid)
-//!   followed by one word whose bit `w` marks way `w` as filled by a
-//!   prefetch that no demand access has touched yet. A probe reads one
-//!   contiguous run of words.
-//! - **Power-of-two sets.** The set index is `block & (sets - 1)`, not a
-//!   division; [`Cache::new`] asserts the set count is a power of two
-//!   (every Table II level is, and [`crate::SimConfig::validate`]
-//!   rejects any other geometry before a cache is built).
-//! - **Lazy MSHR expiry.** The cache remembers the earliest `fill_at` of
-//!   its in-flight misses. Until that cycle arrives no MSHR can retire,
-//!   so expiry is one compare; the MSHR file is scanned only when a fill
-//!   is actually due, and the MSHR-full stall reads the same field.
-//!
-//! Recency is one inline [`LruSet`] per set. None of this changes what
-//! is simulated: the snapshot bytes and every outcome are those of a
-//! plain array of `(block, prefetched)` lines with eager expiry, which
-//! the tests keep as a reference model.
 
 use crate::config::CacheParams;
 use btbx_core::replacement::LruSet;
@@ -96,9 +73,16 @@ struct Mshr {
     fill_at: u64,
 }
 
-/// Tag of an invalid way. Block addresses are byte addresses divided by
-/// [`BLOCK_BYTES`], so no block ever has this tag.
-const INVALID: u64 = u64::MAX;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Line {
+    block: u64,
+    prefetched: bool,
+}
+
+const INVALID: Line = Line {
+    block: u64::MAX,
+    prefetched: false,
+};
 
 /// Outcome of a cache probe, before next-level involvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,18 +100,13 @@ pub enum Probe {
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
-    /// `sets - 1`; the set count is a power of two.
-    set_mask: u64,
+    sets: usize,
     ways: usize,
     /// Hit latency (cycles).
     pub latency: u32,
-    /// Per set, `ways` tags then the set's prefetched-way bits (see the
-    /// module docs); set `s` starts at `s * (ways + 1)`.
-    lines: Vec<u64>,
+    lines: Vec<Line>,
     lru: Vec<LruSet>,
     mshrs: Vec<Mshr>,
-    /// Earliest `fill_at` in `mshrs`, `u64::MAX` when none is in flight.
-    next_fill: u64,
     mshr_capacity: usize,
     stats: CacheStats,
 }
@@ -137,29 +116,18 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless the geometry yields a power-of-two number of sets,
-    /// 1..=64 ways and at least one MSHR.
+    /// Panics if the geometry does not yield at least one set.
     pub fn new(name: &'static str, params: CacheParams) -> Self {
         let sets = params.sets();
-        assert!(
-            sets.is_power_of_two(),
-            "{name}: set count {sets} is not a power of two"
-        );
-        assert!(params.mshrs > 0, "{name}: no MSHRs");
-        let stride = params.ways + 1;
-        let mut lines = vec![INVALID; sets * stride];
-        for set in 0..sets {
-            lines[set * stride + params.ways] = 0;
-        }
+        assert!(sets > 0, "{name}: geometry yields zero sets");
         Cache {
             name,
-            set_mask: sets as u64 - 1,
+            sets,
             ways: params.ways,
             latency: params.latency,
-            lines,
+            lines: vec![INVALID; sets * params.ways],
             lru: vec![LruSet::new(params.ways); sets],
             mshrs: Vec::with_capacity(params.mshrs),
-            next_fill: u64::MAX,
             mshr_capacity: params.mshrs,
             stats: CacheStats::default(),
         }
@@ -181,51 +149,19 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn sets(&self) -> usize {
-        self.lru.len()
-    }
-
-    #[inline]
     fn set_of(&self, block: u64) -> usize {
-        (block & self.set_mask) as usize
+        (block % self.sets as u64) as usize
     }
 
-    /// Offset of `set`'s first tag in `lines`.
-    #[inline]
-    fn base(&self, set: usize) -> usize {
-        set * (self.ways + 1)
-    }
-
-    #[inline]
     fn expire_mshrs(&mut self, now: u64) {
-        if now >= self.next_fill {
-            self.retire_fills_through(now);
-        }
+        self.mshrs.retain(|m| m.fill_at > now);
     }
 
-    /// Free every MSHR whose fill has landed by cycle `t`.
-    fn retire_fills_through(&mut self, t: u64) {
-        self.mshrs.retain(|m| m.fill_at > t);
-        self.next_fill = self
-            .mshrs
-            .iter()
-            .map(|m| m.fill_at)
-            .min()
-            .unwrap_or(u64::MAX);
-    }
-
-    #[inline]
-    fn inflight(&self, block: u64) -> Option<&Mshr> {
-        self.mshrs.iter().find(|m| m.block == block)
-    }
-
-    #[inline]
     fn find(&self, block: u64) -> Option<(usize, usize)> {
         let set = self.set_of(block);
-        let base = self.base(set);
-        self.lines[base..base + self.ways]
-            .iter()
-            .position(|&tag| tag == block)
+        let base = set * self.ways;
+        (0..self.ways)
+            .find(|&w| self.lines[base + w].block == block)
             .map(|w| (set, w))
     }
 
@@ -235,39 +171,36 @@ impl Cache {
         self.stats.accesses += 1;
         if let Some((set, way)) = self.find(block) {
             self.lru[set].touch(way);
-            let bits = self.base(set) + self.ways;
-            let prefetched = &mut self.lines[bits];
-            if *prefetched & (1 << way) != 0 {
+            let line = &mut self.lines[set * self.ways + way];
+            if line.prefetched {
                 // Useful prefetch: demand touched a prefetched block
                 // (possibly while its fill is still in flight — a late
                 // but still useful prefetch).
-                *prefetched &= !(1 << way);
+                line.prefetched = false;
                 self.stats.prefetch_hits += 1;
             }
             // The tag is installed at miss time; the data is usable only
             // once the corresponding fill completes.
-            if let Some(m) = self.inflight(block) {
-                let ready = m.fill_at.max(now + self.latency as u64);
+            if let Some(m) = self.mshrs.iter().find(|m| m.block == block) {
                 self.stats.mshr_merges += 1;
-                return Probe::Pending(ready);
+                return Probe::Pending(m.fill_at.max(now + self.latency as u64));
             }
             self.stats.hits += 1;
             return Probe::Hit(now + self.latency as u64);
         }
-        if let Some(m) = self.inflight(block) {
+        if let Some(m) = self.mshrs.iter().find(|m| m.block == block) {
             // The line was evicted while its fill is still in flight.
-            let ready = m.fill_at.max(now + self.latency as u64);
             self.stats.mshr_merges += 1;
-            return Probe::Pending(ready);
+            return Probe::Pending(m.fill_at.max(now + self.latency as u64));
         }
         // Miss. If the MSHR file is full, the access must wait for the
         // earliest fill to free a slot.
         let mut start = now;
         if self.mshrs.len() >= self.mshr_capacity {
-            let earliest = self.next_fill;
+            let earliest = self.mshrs.iter().map(|m| m.fill_at).min().unwrap();
             self.stats.mshr_stall_cycles += earliest.saturating_sub(now);
             start = earliest;
-            self.retire_fills_through(start);
+            self.mshrs.retain(|m| m.fill_at > start);
         }
         self.stats.misses += 1;
         Probe::Miss(start)
@@ -283,16 +216,12 @@ impl Cache {
             self.name
         );
         self.mshrs.push(Mshr { block, fill_at });
-        self.next_fill = self.next_fill.min(fill_at);
         let set = self.set_of(block);
-        let base = self.base(set);
-        let way = self.lines[base..base + self.ways]
-            .iter()
-            .position(|&tag| tag == INVALID)
+        let base = set * self.ways;
+        let way = (0..self.ways)
+            .find(|&w| self.lines[base + w] == INVALID)
             .unwrap_or_else(|| self.lru[set].victim());
-        self.lines[base + way] = block;
-        let bits = &mut self.lines[base + self.ways];
-        *bits = (*bits & !(1 << way)) | ((prefetched as u64) << way);
+        self.lines[base + way] = Line { block, prefetched };
         self.lru[set].touch(way);
     }
 
@@ -302,7 +231,7 @@ impl Cache {
     /// prefetches never stall for MSHRs).
     pub fn probe_prefetch(&mut self, block: u64, now: u64) -> Option<u64> {
         self.expire_mshrs(now);
-        if self.find(block).is_some() || self.inflight(block).is_some() {
+        if self.find(block).is_some() || self.mshrs.iter().any(|m| m.block == block) {
             self.stats.prefetch_drops += 1;
             return None;
         }
@@ -342,15 +271,12 @@ impl Snapshot for CacheStats {
 
 impl Snapshot for Cache {
     fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets() as u64);
+        w.u64(self.sets as u64);
         w.u64(self.ways as u64);
         w.u64(self.mshr_capacity as u64);
-        for set in self.lines.chunks_exact(self.ways + 1) {
-            let (tags, bits) = set.split_at(self.ways);
-            for (way, &tag) in tags.iter().enumerate() {
-                w.u64(tag);
-                w.bool(bits[0] & (1 << way) != 0);
-            }
+        for line in &self.lines {
+            w.u64(line.block);
+            w.bool(line.prefetched);
         }
         for l in &self.lru {
             l.save_state(w);
@@ -364,17 +290,14 @@ impl Snapshot for Cache {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets() as u64, "cache set count")?;
+        r.expect_u64(self.sets as u64, "cache set count")?;
         r.expect_u64(self.ways as u64, "cache way count")?;
         r.expect_u64(self.mshr_capacity as u64, "cache mshr capacity")?;
-        let ways = self.ways;
-        for set in self.lines.chunks_exact_mut(ways + 1) {
-            let mut bits = 0u64;
-            for (way, tag) in set[..ways].iter_mut().enumerate() {
-                *tag = r.u64()?;
-                bits |= (r.bool()? as u64) << way;
-            }
-            set[ways] = bits;
+        for line in &mut self.lines {
+            *line = Line {
+                block: r.u64()?,
+                prefetched: r.bool()?,
+            };
         }
         for l in &mut self.lru {
             l.restore_state(r)?;
@@ -384,276 +307,19 @@ impl Snapshot for Cache {
             return Err(SnapError::Corrupt("cache mshr occupancy exceeds capacity"));
         }
         self.mshrs.clear();
-        self.next_fill = u64::MAX;
         for _ in 0..inflight {
-            let m = Mshr {
+            self.mshrs.push(Mshr {
                 block: r.u64()?,
                 fill_at: r.u64()?,
-            };
-            self.next_fill = self.next_fill.min(m.fill_at);
-            self.mshrs.push(m);
+            });
         }
         self.stats.restore_state(r)
     }
 }
 
-/// The cache as it was before the flat layout: an array of
-/// `(block, prefetched)` lines, a `u64 %` set index and eager MSHR
-/// expiry on every probe. Kept as the reference model [`Cache`] must
-/// match bit for bit.
-#[cfg(test)]
-mod reference {
-    use super::{CacheParams, CacheStats, LruSet, Probe};
-    use btbx_core::snap::{SnapWriter, Snapshot};
-
-    #[derive(Debug, Clone, Copy)]
-    struct Mshr {
-        block: u64,
-        fill_at: u64,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Line {
-        block: u64,
-        prefetched: bool,
-    }
-
-    const INVALID: Line = Line {
-        block: u64::MAX,
-        prefetched: false,
-    };
-
-    #[derive(Debug, Clone)]
-    pub struct RefCache {
-        sets: usize,
-        ways: usize,
-        latency: u32,
-        lines: Vec<Line>,
-        lru: Vec<LruSet>,
-        mshrs: Vec<Mshr>,
-        mshr_capacity: usize,
-        stats: CacheStats,
-    }
-
-    impl RefCache {
-        pub fn new(params: CacheParams) -> Self {
-            let sets = params.sets();
-            RefCache {
-                sets,
-                ways: params.ways,
-                latency: params.latency,
-                lines: vec![INVALID; sets * params.ways],
-                lru: vec![LruSet::new(params.ways); sets],
-                mshrs: Vec::with_capacity(params.mshrs),
-                mshr_capacity: params.mshrs,
-                stats: CacheStats::default(),
-            }
-        }
-
-        pub fn stats(&self) -> CacheStats {
-            self.stats
-        }
-
-        fn set_of(&self, block: u64) -> usize {
-            (block % self.sets as u64) as usize
-        }
-
-        fn expire_mshrs(&mut self, now: u64) {
-            self.mshrs.retain(|m| m.fill_at > now);
-        }
-
-        fn find(&self, block: u64) -> Option<(usize, usize)> {
-            let set = self.set_of(block);
-            let base = set * self.ways;
-            (0..self.ways)
-                .find(|&w| self.lines[base + w].block == block)
-                .map(|w| (set, w))
-        }
-
-        pub fn probe(&mut self, block: u64, now: u64) -> Probe {
-            self.expire_mshrs(now);
-            self.stats.accesses += 1;
-            if let Some((set, way)) = self.find(block) {
-                self.lru[set].touch(way);
-                let line = &mut self.lines[set * self.ways + way];
-                if line.prefetched {
-                    line.prefetched = false;
-                    self.stats.prefetch_hits += 1;
-                }
-                if let Some(m) = self.mshrs.iter().find(|m| m.block == block) {
-                    self.stats.mshr_merges += 1;
-                    return Probe::Pending(m.fill_at.max(now + self.latency as u64));
-                }
-                self.stats.hits += 1;
-                return Probe::Hit(now + self.latency as u64);
-            }
-            if let Some(m) = self.mshrs.iter().find(|m| m.block == block) {
-                self.stats.mshr_merges += 1;
-                return Probe::Pending(m.fill_at.max(now + self.latency as u64));
-            }
-            let mut start = now;
-            if self.mshrs.len() >= self.mshr_capacity {
-                let earliest = self.mshrs.iter().map(|m| m.fill_at).min().unwrap();
-                self.stats.mshr_stall_cycles += earliest.saturating_sub(now);
-                start = earliest;
-                self.mshrs.retain(|m| m.fill_at > start);
-            }
-            self.stats.misses += 1;
-            Probe::Miss(start)
-        }
-
-        pub fn record_fill(&mut self, block: u64, fill_at: u64, prefetched: bool) {
-            self.mshrs.push(Mshr { block, fill_at });
-            let set = self.set_of(block);
-            let base = set * self.ways;
-            let way = (0..self.ways)
-                .find(|&w| self.lines[base + w] == INVALID)
-                .unwrap_or_else(|| self.lru[set].victim());
-            self.lines[base + way] = Line { block, prefetched };
-            self.lru[set].touch(way);
-        }
-
-        pub fn probe_prefetch(&mut self, block: u64, now: u64) -> Option<u64> {
-            self.expire_mshrs(now);
-            if self.find(block).is_some() || self.mshrs.iter().any(|m| m.block == block) {
-                self.stats.prefetch_drops += 1;
-                return None;
-            }
-            if self.mshrs.len() >= self.mshr_capacity {
-                self.stats.prefetch_drops += 1;
-                return None;
-            }
-            self.stats.prefetches += 1;
-            Some(now)
-        }
-
-        pub fn save_state(&self, w: &mut SnapWriter) {
-            w.u64(self.sets as u64);
-            w.u64(self.ways as u64);
-            w.u64(self.mshr_capacity as u64);
-            for line in &self.lines {
-                w.u64(line.block);
-                w.bool(line.prefetched);
-            }
-            for l in &self.lru {
-                l.save_state(w);
-            }
-            w.u64(self.mshrs.len() as u64);
-            for m in &self.mshrs {
-                w.u64(m.block);
-                w.u64(m.fill_at);
-            }
-            self.stats.save_state(w);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference::RefCache;
     use super::*;
-    use proptest::prelude::*;
-
-    fn saved(f: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        f(&mut w);
-        w.into_vec()
-    }
-
-    /// One step of a random access stream: `(kind, block, time step,
-    /// fill delay)`; kind 0–2 is a demand probe, 3 a prefetch probe. A
-    /// miss or an issued prefetch is filled `delay` cycles after its
-    /// start, as the hierarchy does.
-    type Op = (u8, u64, u64, u64);
-
-    fn drive(params: CacheParams, ops: &[Op], cut: usize) -> TestCaseResult {
-        let mut cache = Cache::new("prop", params);
-        let mut reference = RefCache::new(params);
-        let blocks = (params.sets() * params.ways * 3) as u64;
-        let mut now = 0u64;
-        for (i, &(kind, block, step, delay)) in ops.iter().enumerate() {
-            if i == cut {
-                // Round-trip the flat cache through its snapshot into a
-                // fresh one: the restored lazy-expiry state must behave
-                // exactly like the original.
-                let bytes = saved(|w| cache.save_state(w));
-                let mut fresh = Cache::new("prop", params);
-                fresh
-                    .restore_state(&mut SnapReader::new(&bytes))
-                    .expect("round trip");
-                cache = fresh;
-            }
-            let block = block % blocks;
-            // Mostly forward, sometimes backward: lower levels are probed
-            // at future start cycles, so probe times are not monotone.
-            now = if step % 8 == 0 {
-                now.saturating_sub(step % 64)
-            } else {
-                now + step % 16
-            };
-            if kind < 3 {
-                let probe = cache.probe(block, now);
-                prop_assert_eq!(probe, reference.probe(block, now), "op {}", i);
-                if let Probe::Miss(start) = probe {
-                    cache.record_fill(block, start + delay, false);
-                    reference.record_fill(block, start + delay, false);
-                }
-            } else {
-                let issued = cache.probe_prefetch(block, now);
-                prop_assert_eq!(issued, reference.probe_prefetch(block, now), "op {}", i);
-                if let Some(start) = issued {
-                    cache.record_fill(block, start + delay, true);
-                    reference.record_fill(block, start + delay, true);
-                }
-            }
-            prop_assert_eq!(cache.stats(), reference.stats(), "op {}", i);
-        }
-        prop_assert_eq!(
-            saved(|w| cache.save_state(w)),
-            saved(|w| reference.save_state(w))
-        );
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Random probe / prefetch / fill streams over random geometries
-        /// give the reference model's outcomes, statistics and snapshot
-        /// bytes.
-        #[test]
-        fn flat_cache_matches_the_reference_model(
-            set_bits in 0u32..=5,
-            ways in 1usize..=16,
-            mshrs in 1usize..=8,
-            latency in 1u32..=40,
-            ops in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>(), 1u64..300), 1..600),
-            cut_fraction in 0usize..=100,
-        ) {
-            let params = CacheParams {
-                bytes: (1usize << set_bits) * ways * BLOCK_BYTES as usize,
-                ways,
-                latency,
-                mshrs,
-            };
-            let cut = ops.len() * cut_fraction / 100;
-            drive(params, &ops, cut)?;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a power of two")]
-    fn non_power_of_two_set_count_panics() {
-        Cache::new(
-            "t",
-            CacheParams {
-                bytes: 3 * 2 * 64,
-                ways: 2,
-                latency: 1,
-                mshrs: 1,
-            },
-        );
-    }
 
     fn tiny() -> Cache {
         Cache::new(

@@ -158,8 +158,8 @@ fn bounded(field: &str, value: u64, lo: u64, hi: u64) -> Result<(), ConfigError>
 
 impl CacheParams {
     /// Check this level's geometry (ways in 1..=64, bytes in 64..=64 MiB,
-    /// MSHRs in 1..=256, a power-of-two set count); `level` names it in
-    /// the error.
+    /// MSHRs in 1..=256, a power-of-two set count, which also rules out
+    /// the zero sets `Cache::new` refuses); `level` names it in the error.
     fn validate(&self, level: &str) -> Result<(), ConfigError> {
         bounded(&format!("{level}.ways"), self.ways as u64, 1, 64)?;
         bounded(
