@@ -104,8 +104,13 @@ pub struct ServeConfig {
     /// intra-request shard fan-out by [`pool_split`].
     pub threads: usize,
     /// Interval shards per simulation. Any value serves results
-    /// byte-identical to the CLI serial path (warm-state hand-off);
-    /// more shards trade threads for per-request latency.
+    /// byte-identical to the CLI serial path (warm-state hand-off).
+    /// Each request builds its warm ladder cold, so its shards run hand
+    /// to hand, not in parallel: more shards do not cut a request's
+    /// latency by overlap, yet [`pool_split`] still gives each request
+    /// up to `shards` threads, leaving fewer concurrent requests. What
+    /// `shards >= 2` does buy is inert-cycle fast-forward, which sharded
+    /// runs use and the unsharded path does not.
     pub shards: usize,
     /// Maximum concurrently admitted `/sim` requests; `0` = unlimited.
     /// At the limit, excess requests are shed with `429` + `Retry-After`

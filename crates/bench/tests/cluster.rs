@@ -16,8 +16,7 @@ use btbx_core::OrgKind;
 use btbx_trace::suite;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -132,6 +131,20 @@ fn three_node_sweep_is_byte_identical_to_serial_cli_and_computes_once() {
     let _ = fs::remove_dir_all(&serial_out);
 }
 
+/// Which node the kill test took down, and whether that node has since
+/// requeued a point.
+#[derive(Default)]
+struct KillGate {
+    state: Mutex<KillState>,
+    requeued: Condvar,
+}
+
+#[derive(Default)]
+struct KillState {
+    killed: Option<String>,
+    requeued: bool,
+}
+
 #[test]
 fn killing_a_node_mid_sweep_requeues_its_work_onto_survivors() {
     let serial_out = scratch("kill-serial");
@@ -146,17 +159,42 @@ fn killing_a_node_mid_sweep_requeues_its_work_onto_survivors() {
 
     // Fault injection: on the first completed point, kill the node that
     // served it (graceful shutdown closes its listener, so the worker's
-    // next request is refused and the point must requeue).
+    // next request is refused and the point must requeue). Until that
+    // requeue happens, every survivor lane that completes a point waits
+    // before pulling again: otherwise the survivors can drain the queue
+    // while `kill` joins the server, and the killed node never pulls.
     let cluster = Mutex::new(cluster);
-    let killed = AtomicBool::new(false);
-    let killed_addr = Mutex::new(String::new());
+    let gate = KillGate::default();
     let report = cluster::run_sweep_observed(&sweep, &coord_opts, &config(addrs.clone()), &|ev| {
-        if let ClusterEvent::PointDone { node, .. } = ev {
-            if !killed.swap(true, Ordering::SeqCst) {
-                let i = addrs.iter().position(|a| *a == node).expect("known node");
-                cluster.lock().unwrap().kill(i);
-                *killed_addr.lock().unwrap() = node;
+        match ev {
+            ClusterEvent::PointDone { node, .. } => {
+                let mut g = gate.state.lock().unwrap();
+                match &g.killed {
+                    None => {
+                        g.killed = Some(node.clone());
+                        drop(g);
+                        let i = addrs.iter().position(|a| *a == node).expect("known node");
+                        cluster.lock().unwrap().kill(i);
+                    }
+                    Some(killed) if *killed != node => {
+                        // Bounded, so a requeue that never comes fails the
+                        // assertion below instead of hanging the test.
+                        let _held = gate
+                            .requeued
+                            .wait_timeout_while(g, Duration::from_secs(30), |g| !g.requeued)
+                            .unwrap();
+                    }
+                    Some(_) => {}
+                }
             }
+            ClusterEvent::Requeued { node, .. } => {
+                let mut g = gate.state.lock().unwrap();
+                if g.killed.as_ref() == Some(&node) {
+                    g.requeued = true;
+                    gate.requeued.notify_all();
+                }
+            }
+            _ => {}
         }
     })
     .expect("cluster sweep survives the kill");
@@ -170,7 +208,12 @@ fn killing_a_node_mid_sweep_requeues_its_work_onto_survivors() {
         report.stats
     );
     let results = report.nodes.clone();
-    let killed_addr = killed_addr.lock().unwrap().clone();
+    let killed_addr = gate
+        .state
+        .into_inner()
+        .unwrap()
+        .killed
+        .expect("a node was killed");
     let dead = results
         .iter()
         .find(|n| n.addr == killed_addr)

@@ -16,6 +16,10 @@
 //! * **Inert cycles** — every lane runs with
 //!   [`Simulator::set_fast_forward`](crate::sim::Simulator::set_fast_forward)
 //!   enabled, jumping spans of cycles in which no pipeline stage can act.
+//!   Sharded runs ([`crate::parallel`]) fast-forward too; only the
+//!   per-point [`crate::session::SimSession`] ticks every cycle, so part
+//!   of a batched group's edge over its per-point twins is this jump,
+//!   not the shared trace.
 //!
 //! # Lane divergence rules
 //!

@@ -29,10 +29,21 @@
 //! [`btbx_trace::AnySource`] streams, one decoded container block per live
 //! shard — still O(shards), never O(window)).
 //!
-//! A cold run pipelines shards hand-to-hand. Re-runs through a shared warm
+//! A cold run pipelines shards hand-to-hand: shard *i* waits for shard
+//! *i−1*'s rung, so nothing overlaps. Re-runs through a shared warm
 //! ladder ([`ParallelSession::warm_ladder`], as `btbx bench` keeps across
 //! its repetitions) restore every boundary immediately and execute fully
 //! in parallel.
+//!
+//! # Fast-forward
+//!
+//! Every shard's simulator runs with
+//! [`Simulator::set_fast_forward`] on, skipping inert cycle spans in O(1)
+//! jumps, as batched lanes ([`crate::batch`]) do. The serial
+//! [`SimSession`] keeps the plain tick loop, so sharded == serial also
+//! pins the fast-forward trajectory against the plain one. The flag is
+//! not part of a warm snapshot: a rung restores identically into either
+//! loop.
 //!
 //! # Determinism and serial equivalence
 //!
@@ -516,26 +527,23 @@ where
                     } else {
                         Some(warm.wait(key))
                     };
-                    let (mut sim, base) = match entry {
+                    if let Some(e) = &entry {
+                        source.restore(&e.checkpoint);
+                    }
+                    let mut sim = Simulator::new(config.clone(), source, bpu, org, spec.bits());
+                    sim.set_fast_forward(true);
+                    if let Some(a) = abort {
+                        sim.set_abort(Arc::clone(a));
+                    }
+                    let base = match entry {
                         Some(e) => {
-                            source.restore(&e.checkpoint);
-                            let mut sim =
-                                Simulator::new(config.clone(), source, bpu, org, spec.bits());
-                            if let Some(a) = abort {
-                                sim.set_abort(Arc::clone(a));
-                            }
                             restore_sealed(&mut sim, &identity, &e.snapshot).unwrap_or_else(
                                 |err| panic!("warm snapshot restore failed at key {key}: {err}"),
                             );
                             snapshot_bytes = snapshot_bytes.max(e.snapshot.len() as u64);
-                            (sim, e.base)
+                            e.base
                         }
                         None => {
-                            let mut sim =
-                                Simulator::new(config.clone(), source, bpu, org, spec.bits());
-                            if let Some(a) = abort {
-                                sim.set_abort(Arc::clone(a));
-                            }
                             sim.run_until_committed(warmup);
                             warmed_instructions = sim.committed();
                             let base = sim.committed();
@@ -549,7 +557,7 @@ where
                                     base,
                                 },
                             );
-                            (sim, base)
+                            base
                         }
                     };
                     let restore_seconds = restore_started.elapsed().as_secs_f64();

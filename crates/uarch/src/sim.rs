@@ -106,8 +106,10 @@ pub struct Simulator<S, B: btbx_core::Btb = Box<dyn btbx_core::Btb>> {
     abort_poll: u32,
     /// Skip provably inert cycles in O(1) jumps (see
     /// [`Self::fast_forward_span`]). Off by default: the plain tick loop
-    /// is the reference trajectory; the batched executor turns this on
-    /// and the differential suite pins the two bit-identical.
+    /// that [`crate::session::SimSession`] runs is the reference
+    /// trajectory. Batched lanes and [`crate::parallel::ParallelSession`]
+    /// shards turn this on; the batched differential and shard
+    /// determinism suites pin both bit-identical to the plain loop.
     fast_forward: bool,
     /// Number of leading FTQ entries known to have issued their L1-I
     /// access (`block_ready` is `Some`). Derived state, never serialized:
@@ -169,8 +171,10 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     /// O(1) jump instead of being ticked one by one. The resulting
     /// trajectory — every counter, every structure — is bit-identical to
     /// the plain tick loop; `crates/bench/tests/batch_differential.rs`
-    /// pins this for every organization. The serial session leaves this off so it stays
-    /// the plain reference model; the batched executor turns it on.
+    /// and `tests/parallel_determinism.rs` pin this for every
+    /// organization. Batched lanes and sharded runs turn it on; the
+    /// serial [`crate::session::SimSession`] leaves it off, so it stays
+    /// the plain reference model.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
     }

@@ -3,16 +3,22 @@
 //! every shard count and thread count (see the module docs of
 //! `btbx_uarch::parallel` and EXPERIMENTS.md, "Interval sharding").
 //!
-//! The workloads here are steady-state loops whose dynamic period divides
+//! Most workloads here are steady-state loops whose dynamic period divides
 //! the warm-up, the shard chunk and the interval length, exercising every
-//! front-end structure through the shard hand-off.
+//! front-end structure through the shard hand-off. Their bodies stay
+//! L1-I-resident, so few cycles are inert; a large-footprint synthetic
+//! server image covers the starved front end, where the shards'
+//! inert-cycle fast-forward jumps most often, against the plain
+//! serial tick loop.
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
 use btbx::core::{BranchEvent, BtbSpec, OrgKind};
 use btbx::trace::record::{MemAccess, TraceInstr};
 use btbx::trace::source::VecSource;
+use btbx::trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
 use btbx::uarch::{IntervalStats, ParallelSession, SimConfig, SimSession, SimStats};
+use std::sync::Arc;
 
 const WARMUP: u64 = 8_000;
 const MEASURE: u64 = 64_000;
@@ -304,4 +310,57 @@ fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     assert!(a.result.stats.instructions < MEASURE + 8 * config.commit_width as u64);
     assert_stats_identical("thread-count invariance", &a.result.stats, &b.result.stats);
     assert_intervals_identical("thread-count invariance", &a.intervals, &b.intervals);
+}
+
+/// Sharded runs fast-forward inert cycles; the serial session ticks every
+/// cycle. On a server image whose code far exceeds the L1-I, the front
+/// end starves for most of the run, so the shards jump often, and both
+/// must still agree bit for bit: every organization, FDIP off and on,
+/// 2 and 3 shards, at the default commit width.
+#[test]
+fn every_org_is_shard_invariant_on_a_large_footprint_server_image() {
+    const WARMUP: u64 = 20_000;
+    const MEASURE: u64 = 60_000;
+    const INTERVAL: u64 = 10_000;
+    let image = Arc::new(ProgramImage::generate(
+        &SynthParams::server(1_600),
+        0x5E4E_0030,
+    ));
+    assert!(
+        image.code_bytes() > 8 * SimConfig::default().l1i.bytes as u64,
+        "the image must overflow the L1-I"
+    );
+    let trace = || SyntheticTrace::over(Arc::clone(&image), "server_image", 7);
+    for fdip in [false, true] {
+        let config = if fdip {
+            SimConfig::with_fdip()
+        } else {
+            SimConfig::without_fdip()
+        };
+        for org in OrgKind::ALL {
+            let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
+            let mut serial_intervals = Vec::new();
+            let serial = SimSession::new(trace())
+                .btb_spec(spec)
+                .config(config.clone())
+                .warmup(WARMUP)
+                .measure(MEASURE)
+                .every(INTERVAL, |iv| serial_intervals.push(*iv))
+                .run()
+                .expect("valid serial session");
+            for shards in [2usize, 3] {
+                let out = ParallelSession::new(trace, spec)
+                    .config(config.clone())
+                    .warmup(WARMUP)
+                    .measure(MEASURE)
+                    .every(INTERVAL)
+                    .shards(shards)
+                    .run()
+                    .expect("valid sharded session");
+                let ctx = format!("{org}, fdip {fdip}, {shards} shards");
+                assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
+                assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+            }
+        }
+    }
 }
